@@ -1,9 +1,9 @@
 """Dump per-stage attention maps from a trained decoder.
 
-Two kinds of map come out of a forward pass when a capture dict is
-supplied: the window-attention probabilities at each refinement stage
-(rendered as per-pixel entropy, bright = diffuse, dark = focused) and the
-spatial sigmoid map from the detail-injection block. An untrained model
+Two kinds of map come out of a forward pass run inside ``blocks.capture()``:
+the window-attention probabilities at each refinement stage (rendered as
+per-pixel entropy, bright = diffuse, dark = focused) and the spatial
+sigmoid map from the detail-injection block. An untrained model
 makes for a dull picture (the sigmoid sits at exactly 1/2 everywhere), so
 the demo trains the toy recipe first and renders the maps afterwards.
 """

@@ -1,6 +1,6 @@
 """Lightweight window-attention segmentation decoder on a numpy autodiff core."""
 
-from .tensor import Grads, ShapeError, Tape, TapeError, Tensor, full, ones, tensor, zeros
+from .tensor import Grads, ShapeError, Tape, TapeError, Tensor, full, ones, zeros
 from . import ops
 from .blocks import (
     CFFM,
@@ -85,7 +85,6 @@ __all__ = [
     "report_channel_management",
     "save_checkpoint",
     "sliding_window_infer",
-    "tensor",
     "total_loss",
     "zeros",
     "__version__",

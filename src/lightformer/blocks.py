@@ -14,6 +14,7 @@ never need to walk module objects.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -261,6 +262,31 @@ def channel_shuffle(x: Tensor, groups: int) -> Tensor:
     return ops.reshape(y, (b, c, h, w))
 
 
+_CAPTURE_STACK: list[dict] = []
+
+
+def active_capture() -> dict | None:
+    return _CAPTURE_STACK[-1] if _CAPTURE_STACK else None
+
+
+@contextlib.contextmanager
+def capture():
+    """Collect attention maps from the forwards run inside the block.
+
+    Yields a dict. Each ``WindowAttention`` stores a ``<prefix>.probs``
+    record (the softmax rows plus the window grid needed to stitch them
+    back) and ``SISM`` stores its spatial map as ``<prefix>.attn``, always
+    into the innermost active dict.
+    """
+    maps: dict = {}
+    _CAPTURE_STACK.append(maps)
+    try:
+        yield maps
+    finally:
+        popped = _CAPTURE_STACK.pop()
+        assert popped is maps, "captures must unwind in LIFO order"
+
+
 class WindowAttention:
     """Multi-head self-attention inside non-overlapping square windows,
     followed by the per-axis average pooling that smears each window's
@@ -283,36 +309,23 @@ class WindowAttention:
         self.qkv = Conv2d(store, f"{prefix}.qkv", channels, 3 * channels, 1, bias=False)
 
     def _to_windows(self, t: Tensor, hh: int, ww: int) -> Tensor:
-        b, c, hp, wp = t.shape
+        """(B, C, H, W) -> (B*hh*ww*heads, C/heads, ws*ws): the Swin window
+        partition, channel-major inside each window and head."""
+        b, c = t.shape[:2]
         ws = self.window_size
-        heads = self.heads
-        d = c // heads
-        y = ops.reshape(t, (b, c, hh, ws, wp))
-        y = ops.permute(y, (0, 2, 1, 3, 4))
-        y = ops.reshape(y, (b * hh, c, ws, wp))
-        y = ops.reshape(y, (b * hh, c, ws, ww, ws))
-        y = ops.permute(y, (0, 3, 1, 2, 4))
-        y = ops.reshape(y, (b * hh * ww, c, ws, ws))
-        y = ops.reshape(y, (b * hh * ww, heads, d, ws * ws))
-        y = ops.permute(y, (0, 1, 3, 2))
-        return ops.reshape(y, (b * hh * ww * heads, ws * ws, d))
+        y = ops.reshape(t, (b, c, hh, ws, ww, ws))
+        y = ops.permute(y, (0, 2, 4, 1, 3, 5))
+        return ops.reshape(y, (b * hh * ww * self.heads, c // self.heads, ws * ws))
 
     def _from_windows(self, t: Tensor, b: int, hh: int, ww: int) -> Tensor:
+        """Inverse of ``_to_windows``."""
         ws = self.window_size
-        heads = self.heads
         c = self.channels
-        d = c // heads
-        y = ops.reshape(t, (b * hh * ww, heads, ws * ws, d))
-        y = ops.permute(y, (0, 1, 3, 2))
-        y = ops.reshape(y, (b * hh * ww, c, ws, ws))
-        y = ops.reshape(y, (b * hh, ww, c, ws, ws))
-        y = ops.permute(y, (0, 2, 3, 1, 4))
-        y = ops.reshape(y, (b * hh, c, ws, ww * ws))
-        y = ops.reshape(y, (b, hh, c, ws, ww * ws))
-        y = ops.permute(y, (0, 2, 1, 3, 4))
+        y = ops.reshape(t, (b, hh, ww, c, ws, ws))
+        y = ops.permute(y, (0, 3, 1, 4, 2, 5))
         return ops.reshape(y, (b, c, hh * ws, ww * ws))
 
-    def forward(self, x: Tensor, capture: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(f"attention built for {self.channels} channels, got {x.shape}")
         b, c, h, w = x.shape
@@ -326,21 +339,22 @@ class WindowAttention:
 
         qkv = self.qkv.forward(xp)
         q, k, v = ops.split(qkv, (c, c, c), axis=1)
-        qw = self._to_windows(q, hh, ww)
-        kw = self._to_windows(k, hh, ww)
-        vw = self._to_windows(v, hh, ww)
+        qw = ops.permute(self._to_windows(q, hh, ww), (0, 2, 1))
+        kt = self._to_windows(k, hh, ww)  # already K transposed per window
+        vw = ops.permute(self._to_windows(v, hh, ww), (0, 2, 1))
 
-        scores = ops.mul(ops.matmul(qw, ops.permute(kw, (0, 2, 1))), 1.0 / math.sqrt(d))
+        scores = ops.mul(ops.matmul(qw, kt), 1.0 / math.sqrt(d))
         probs = ops.softmax(scores, axis=-1)
-        if capture is not None:
-            capture[f"{self.prefix}.probs"] = {
+        maps = active_capture()
+        if maps is not None:
+            maps[f"{self.prefix}.probs"] = {
                 "probs": probs.data.copy(),
                 "batch": b, "rows": hh, "cols": ww,
                 "heads": self.heads, "window": ws,
                 "height": h, "width": w,
             }
         attended = ops.matmul(probs, vw)
-        amap = self._from_windows(attended, b, hh, ww)
+        amap = self._from_windows(ops.permute(attended, (0, 2, 1)), b, hh, ww)
 
         rows = ops.nearest_upsample(ops.pool2d(amap, "avg", (ws, 1)), (ws, 1))
         cols = ops.nearest_upsample(ops.pool2d(amap, "avg", (1, ws)), (1, ws))
@@ -365,8 +379,8 @@ class GlobalBranch:
         self.fc2 = Conv2d(store, f"{prefix}.fc2", hidden, channels, 1, bias=True)
         self.act = _activation(cfg.activation)
 
-    def forward(self, x: Tensor, train: bool = False, capture: dict | None = None) -> Tensor:
-        a = self.proj.forward(self.attn.forward(self.norm1.forward(x, train), capture))
+    def forward(self, x: Tensor, train: bool = False) -> Tensor:
+        a = self.proj.forward(self.attn.forward(self.norm1.forward(x, train)))
         x = ops.add(x, a)
         f = self.fc2.forward(self.act(self.fc1.forward(self.norm2.forward(x, train))))
         return ops.add(x, f)
@@ -423,7 +437,7 @@ class LCRM:
                                 norm=cfg.norm, activation=cfg.activation)
         self.eca = ECA(store, f"{prefix}.eca", c, cfg.eca_kernel)
 
-    def forward(self, x: Tensor, train: bool = False, capture: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor, train: bool = False) -> Tensor:
         c = self.cfg.channels
         if x.ndim != 4 or x.shape[1] != c:
             raise ShapeError(f"refinement block built for {c} channels, got {x.shape}")
@@ -431,7 +445,7 @@ class LCRM:
             xg, xl = ops.split(x, (c // 2, c // 2), axis=1)
         else:
             xg = xl = x
-        g = self.global_branch.forward(xg, train, capture)
+        g = self.global_branch.forward(xg, train)
         l = self.local_branch.forward(xl, train)
         y = ops.concat([g, l], axis=1)
         y = self.fuse.forward(y, train)
@@ -457,8 +471,7 @@ class CFFM:
                                    norm=cfg.norm, activation=cfg.activation)
         self.eca = ECA(store, f"{prefix}.eca", c, cfg.eca_kernel)
 
-    def forward(self, deep: Tensor, shallow: Tensor, train: bool = False,
-                capture: dict | None = None) -> Tensor:
+    def forward(self, deep: Tensor, shallow: Tensor, train: bool = False) -> Tensor:
         if deep.ndim != 4 or shallow.ndim != 4:
             raise ShapeError("fusion expects two rank-4 inputs")
         b, c, hd, wd = deep.shape
@@ -509,7 +522,7 @@ class SISM:
                                 padding=(k_detail - 1) // 2, groups=c, bias=True)
         self.gates = GateWeights(store, f"{prefix}.gates")
 
-    def forward(self, x: Tensor, train: bool = False, capture: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor, train: bool = False) -> Tensor:
         mid = self.pw_mid.forward(self.dw_mid.forward(x))
         long = self.pw_long.forward(self.dw_long.forward(mid))
         mixed = ops.concat([self.mix_mid.forward(mid), self.mix_long.forward(long)], axis=1)
@@ -520,8 +533,9 @@ class SISM:
         mid = ops.mul(mid, g_mid)
         long = ops.mul(long, g_long)
         attn = ops.sigmoid(self.attn_proj.forward(ops.add(mid, long)))
-        if capture is not None:
-            capture[f"{self.prefix}.attn"] = attn.data.copy()
+        maps = active_capture()
+        if maps is not None:
+            maps[f"{self.prefix}.attn"] = attn.data.copy()
         detail = self.dw_detail.forward(x)
         w_detail, w_attn = self.gates.raw()
         out = ops.add(x, ops.mul(detail, w_detail))

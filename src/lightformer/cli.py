@@ -16,8 +16,9 @@ import numpy as np
 from . import efficiency as eff
 from . import fileio, gradcheck, synthetic
 from . import training as tr
+from .blocks import capture
 from .config import ConfigError, RunConfig, load
-from .network import build_model, load_checkpoint, save_checkpoint
+from .network import INPUT_MULTIPLE, build_model, load_checkpoint, save_checkpoint
 from .tensor import Tape, Tensor
 
 
@@ -231,8 +232,13 @@ def cmd_infer(cfg: RunConfig, args) -> int:
     num_classes = cfg["model.num_classes"]
 
     def infer_fn(tile: np.ndarray) -> np.ndarray:
+        # Zero-pad bottom/right to sides the model accepts; crop the logits back.
+        h, w = tile.shape[-2:]
+        pad_b, pad_r = (-h) % INPUT_MULTIPLE, (-w) % INPUT_MULTIPLE
+        if pad_b or pad_r:
+            tile = np.pad(tile, ((0, 0), (0, pad_b), (0, pad_r)))
         logits, _ = model.forward(Tensor(tile[None].astype(np.float32)), train=False)
-        return logits.data[0]
+        return logits.data[0, :, :h, :w]
 
     logits = tr.sliding_window_infer(image, cfg["infer.window"], cfg["infer.stride"],
                                      infer_fn, num_classes)
@@ -274,17 +280,17 @@ def cmd_dump_attn(cfg: RunConfig, args) -> int:
     checkpoint = args.checkpoint or os.path.join(out_dir, "checkpoint.lftc")
     model = _load_model(cfg, checkpoint)
     image = _standardize_u8(fileio.read_ppm(args.image), cfg)
-    capture: dict = {}
-    model.forward(Tensor(image[None]), train=False, capture=capture)
+    with capture() as maps:
+        model.forward(Tensor(image[None]), train=False)
 
     written = []
     for stage in (1, 2, 3):
-        entry = capture[f"decoder.lcrm{stage}.global.attn.probs"]
+        entry = maps[f"decoder.lcrm{stage}.global.attn.probs"]
         heat = attention_entropy_map(entry)[0]
         path = os.path.join(out_dir, f"attn_lcrm{stage}.pgm")
         _to_heat_pgm(path, heat)
         written.append(path)
-    sism_map = capture["decoder.sism.attn"][0, 0]
+    sism_map = maps["decoder.sism.attn"][0, 0]
     # Mathematically the sigmoid stays inside (0, 1); float32 rounding may
     # touch the endpoints once the head saturates, which is still valid.
     if sism_map.min() < 0.0 or sism_map.max() > 1.0:

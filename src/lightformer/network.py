@@ -23,6 +23,9 @@ from .blocks import CFFM, LCRM, SISM, BlockConfig, Conv2d, ConvNormAct
 from .params import ParamStore
 from .tensor import ShapeError, Tensor
 
+# The encoder's deepest stride: image sides must be multiples of it.
+INPUT_MULTIPLE = 32
+
 
 @dataclass(frozen=True)
 class DecoderConfig:
@@ -99,7 +102,7 @@ class Decoder:
             self.aux = [Conv2d(store, f"{prefix}.aux{i + 1}", d, k, 1, bias=True)
                         for i in range(3)]
 
-    def forward(self, feats, out_hw, train: bool = False, capture: dict | None = None):
+    def forward(self, feats, out_hw, train: bool = False):
         cfg = self.cfg
         if len(feats) != 4:
             raise ShapeError(f"decoder expects 4 feature maps, got {len(feats)}")
@@ -109,16 +112,16 @@ class Decoder:
         f1, f2, f3, f4 = feats
 
         z = self.proj.forward(f4, train)
-        z = self.lcrm1.forward(z, train, capture)
+        z = self.lcrm1.forward(z, train)
         taps = [z]
-        z = self.cffm1.forward(z, f3, train, capture)
-        z = self.lcrm2.forward(z, train, capture)
+        z = self.cffm1.forward(z, f3, train)
+        z = self.lcrm2.forward(z, train)
         taps.append(z)
-        z = self.cffm2.forward(z, f2, train, capture)
-        z = self.lcrm3.forward(z, train, capture)
+        z = self.cffm2.forward(z, f2, train)
+        z = self.lcrm3.forward(z, train)
         taps.append(z)
-        z = self.cffm3.forward(z, f1, train, capture)
-        z = self.sism.forward(z, train, capture)
+        z = self.cffm3.forward(z, f1, train)
+        z = self.sism.forward(z, train)
 
         logits = ops.upsample_bilinear(self.head.forward(z), out_hw)
         aux_logits = []
@@ -137,14 +140,15 @@ class Model:
         self.encoder = StubEncoder(store, "encoder", cfg)
         self.decoder = Decoder(store, "decoder", cfg)
 
-    def forward(self, image: Tensor, train: bool = False, capture: dict | None = None):
+    def forward(self, image: Tensor, train: bool = False):
         if image.ndim != 4 or image.shape[1] != 3:
             raise ShapeError(f"expected an image batch (B, 3, H, W), got {image.shape}")
         h, w = image.shape[2], image.shape[3]
-        if h % 32 or w % 32:
-            raise ShapeError(f"input height and width must be divisible by 32, got {h}x{w}")
+        if h % INPUT_MULTIPLE or w % INPUT_MULTIPLE:
+            raise ShapeError(f"input height and width must be divisible by {INPUT_MULTIPLE}, "
+                             f"got {h}x{w}")
         feats = self.encoder.forward(image, train)
-        return self.decoder.forward(feats, (h, w), train, capture)
+        return self.decoder.forward(feats, (h, w), train)
 
 
 def build_model(cfg: DecoderConfig, seed: int, dtype=np.float32) -> Model:

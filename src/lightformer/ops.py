@@ -271,8 +271,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape} (element counts differ)")
-    if len(shape) > 5:
-        raise ShapeError(f"reshape: rank {len(shape)} exceeds the supported maximum of 5")
     return _result("reshape", (x,), x.data.reshape(shape), lambda g: (g.reshape(x.shape),))
 
 

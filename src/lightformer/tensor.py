@@ -1,7 +1,7 @@
 """Dense NCHW-style tensors and a reverse-mode tape.
 
 A Tensor is a thin wrapper over a contiguous numpy array (float32 for
-compute, float64 for verification) of rank 0..5. Operators in
+compute, float64 for verification) of any rank. Operators in
 :mod:`lightformer.ops` push one node per call onto the innermost active
 Tape; ``Tape.backward`` replays the nodes in reverse, accumulating
 adjoints with ``+=`` at fan-in points in a fixed order, so gradients are
@@ -21,8 +21,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-MAX_RANK = 5
-
 _DTYPES = (np.float32, np.float64)
 
 
@@ -35,7 +33,7 @@ class TapeError(RuntimeError):
 
 
 class Tensor:
-    """Dense numeric array of rank <= 5 with an autodiff participation flag."""
+    """Dense numeric array with an autodiff participation flag."""
 
     __slots__ = ("data", "requires_grad")
 
@@ -43,8 +41,6 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        if arr.ndim > MAX_RANK:
-            raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of {MAX_RANK}")
         # ascontiguousarray would promote rank-0 to shape (1,); keep scalars scalar.
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
         self.requires_grad = bool(requires_grad)

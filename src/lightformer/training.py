@@ -246,37 +246,6 @@ def standardize(image: np.ndarray, mean, std) -> np.ndarray:
     return ((image - mean) / std).astype(np.float32)
 
 
-def random_crop(image: np.ndarray, mask: np.ndarray, size, rng,
-                dominant_threshold: float = 0.75, max_iters: int = 10,
-                ignore_label: int = IGNORE_LABEL):
-    """Class-balanced crop sampler.
-
-    Draws up to ``max_iters`` crops and returns the first whose dominant
-    class covers at most ``dominant_threshold`` of the non-ignored pixels;
-    when every draw is dominated, the last crop wins. ``rng`` only needs an
-    ``integers`` method.
-    """
-    ch, cw = (size, size) if isinstance(size, int) else size
-    h, w = mask.shape
-    if image.shape[-2:] != (h, w):
-        raise ShapeError(f"image spatial {image.shape[-2:]} != mask {mask.shape}")
-    if ch > h or cw > w:
-        raise ShapeError(f"crop {ch}x{cw} larger than image {h}x{w}")
-    img_c = mask_c = None
-    for _ in range(max_iters):
-        top = int(rng.integers(0, h - ch + 1))
-        left = int(rng.integers(0, w - cw + 1))
-        img_c = image[..., top:top + ch, left:left + cw]
-        mask_c = mask[top:top + ch, left:left + cw]
-        labels = mask_c[mask_c != ignore_label]
-        if labels.size == 0:
-            continue
-        counts = np.bincount(labels.reshape(-1))
-        if counts.max() / labels.size <= dominant_threshold:
-            break
-    return img_c.copy(), mask_c.copy()
-
-
 def augment(image: np.ndarray, mask: np.ndarray, rng):
     """Random horizontal/vertical flips and a 90-degree rotation, applied jointly."""
     if rng.integers(0, 2):

@@ -109,3 +109,41 @@ def naive_channel_shuffle(x, groups):
     cg = c // groups
     order = [(j % groups) * cg + j // groups for j in range(c)]
     return x[:, order]
+
+
+def naive_window_attention(x, w_qkv, window_size, heads):
+    """Window attention plus the per-axis window pools, one window and head
+    at a time.
+
+    ``x`` is (B, C, H, W) and ``w_qkv`` the (3C, C, 1, 1) projection. The
+    input is zero-padded at the bottom/right to whole windows and the output
+    cropped back. Returns the output and the softmax rows as
+    (B, rows, cols, heads, ws*ws, ws*ws).
+    """
+    b, c, h, w = x.shape
+    ws = window_size
+    rows, cols = -(-h // ws), -(-w // ws)
+    xp = np.zeros((b, c, rows * ws, cols * ws), dtype=np.float64)
+    xp[:, :, :h, :w] = x
+    w_qkv = w_qkv.reshape(3 * c, c)
+    d = c // heads
+    amap = np.zeros_like(xp)
+    probs = np.zeros((b, rows, cols, heads, ws * ws, ws * ws))
+    for n in range(b):
+        for r in range(rows):
+            for s in range(cols):
+                win = (slice(r * ws, (r + 1) * ws), slice(s * ws, (s + 1) * ws))
+                qkv = w_qkv @ xp[n, :, win[0], win[1]].reshape(c, ws * ws)
+                for hd in range(heads):
+                    lo, hi = hd * d, (hd + 1) * d
+                    q, k, v = qkv[lo:hi], qkv[c + lo:c + hi], qkv[2 * c + lo:2 * c + hi]
+                    p = naive_softmax(q.T @ k / np.sqrt(d), axis=-1)
+                    probs[n, r, s, hd] = p
+                    amap[n, lo:hi, win[0], win[1]] = (v @ p.T).reshape(d, ws, ws)
+    out = np.zeros_like(xp)
+    for r in range(rows):
+        for s in range(cols):
+            win = amap[:, :, r * ws:(r + 1) * ws, s * ws:(s + 1) * ws]
+            out[:, :, r * ws:(r + 1) * ws, s * ws:(s + 1) * ws] = (
+                win.mean(axis=2, keepdims=True) + win.mean(axis=3, keepdims=True))
+    return out[:, :, :h, :w], probs

@@ -15,7 +15,8 @@ import pytest
 from lightformer import cli, config, efficiency as eff, gradcheck
 from lightformer import network as net
 from lightformer import training as tr
-from lightformer.blocks import SISM, BlockConfig, GateWeights, WindowAttention, channel_shuffle
+from lightformer.blocks import (SISM, BlockConfig, GateWeights, WindowAttention,
+                                channel_shuffle, capture)
 from lightformer.params import ParamStore
 from lightformer.rng import stream
 from lightformer.tensor import Tensor
@@ -110,10 +111,9 @@ def test_criterion_05_identities():
     astore = ParamStore()
     attn = WindowAttention(astore, "wa", channels=8, window_size=4, heads=2)
     astore.init(seed=4)
-    capture = {}
-    attn.forward(Tensor(stream(5, "ax").standard_normal((1, 8, 8, 8)).astype(np.float32)),
-                 capture=capture)
-    rows = capture["wa.probs"]["probs"].sum(axis=-1)
+    with capture() as maps:
+        attn.forward(Tensor(stream(5, "ax").standard_normal((1, 8, 8, 8)).astype(np.float32)))
+    rows = maps["wa.probs"]["probs"].sum(axis=-1)
     np.testing.assert_allclose(rows, 1.0, atol=1e-6)
     _report(5, "SISM zero-gate identity bit-exact; shuffle identity/inverse hold; "
                "gate pair sums to 1 (1e-7); attention rows sum to 1 (1e-6)")

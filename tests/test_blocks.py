@@ -10,6 +10,8 @@ from lightformer.params import ParamStore
 from lightformer.rng import stream
 from lightformer.tensor import ShapeError, Tensor
 
+from oracles import naive_window_attention
+
 
 def _rand(shape, seed=0, scale=1.0):
     return Tensor(stream(seed, "test.blocks").standard_normal(shape) * scale,
@@ -65,9 +67,9 @@ class TestWindowAttention:
         w[2 * c:] = np.eye(c).reshape(c, c, 1, 1)  # V block = identity, Q/K = 0
         store["wa.qkv.weight"].data = w
         x = Tensor(stream(3, "wa").standard_normal((2, c, 5, 6)))
-        capture = {}
-        out = attn.forward(x, capture)
-        record = capture["wa.probs"]
+        with bl.capture() as maps:
+            out = attn.forward(x)
+        record = maps["wa.probs"]
         np.testing.assert_array_equal(record["probs"], np.ones_like(record["probs"]))
         np.testing.assert_array_equal(out.data, 2.0 * x.data)
 
@@ -80,18 +82,32 @@ class TestWindowAttention:
         w[2 * c:] = np.eye(c).reshape(c, c, 1, 1)
         store["wa.qkv.weight"].data = w
         x = Tensor(stream(4, "wa").standard_normal((1, c, ws, ws)))
-        capture = {}
-        attn.forward(x, capture)
-        probs = capture["wa.probs"]["probs"]
+        with bl.capture() as maps:
+            attn.forward(x)
+        probs = maps["wa.probs"]["probs"]
         np.testing.assert_allclose(probs, 1.0 / (ws * ws), rtol=0, atol=1e-7)
 
     def test_rows_sum_to_one(self):
         attn, _ = _build(lambda s: bl.WindowAttention(s, "wa", 8, window_size=4, heads=2))
         x = _rand((2, 8, 8, 12), seed=5)
-        capture = {}
-        attn.forward(x, capture)
-        sums = capture["wa.probs"]["probs"].sum(axis=-1)
+        with bl.capture() as maps:
+            attn.forward(x)
+        sums = maps["wa.probs"]["probs"].sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+
+    def test_matches_naive_oracle(self):
+        """Batch, window and head bookkeeping against per-window loops on a
+        padded input with a 2x3 window grid; the captured probs are laid out
+        (batch, row, col, head)-major, as the entropy maps read them."""
+        attn, store = _build(lambda s: bl.WindowAttention(s, "wa", 8, window_size=4, heads=2),
+                             seed=21)
+        x = _rand((2, 8, 7, 9), seed=22)
+        with bl.capture() as maps:
+            out = attn.forward(x)
+        want, want_probs = naive_window_attention(x.data, store["wa.qkv.weight"].data, 4, 2)
+        np.testing.assert_allclose(out.data, want, rtol=1e-10, atol=1e-12)
+        got_probs = maps["wa.probs"]["probs"].reshape(want_probs.shape)
+        np.testing.assert_allclose(got_probs, want_probs, rtol=1e-10, atol=1e-12)
 
     def test_tile_swap_equivariance(self):
         """Windows are independent: swapping two window-aligned input tiles
@@ -203,7 +219,7 @@ class TestLCRM:
         eca(shuffle(fuse(concat(xg, xl, xl))))."""
         cfg = bl.BlockConfig(channels=8, window_size=2, heads=2, norm="none")
         lcrm, _ = _build(lambda s: bl.LCRM(s, "m", cfg))
-        lcrm.global_branch.forward = lambda x, train=False, capture=None: x
+        lcrm.global_branch.forward = lambda x, train=False: x
         lcrm.local_branch.forward = lambda x, train=False: ops.concat([x, x], axis=1)
         x = _rand((1, 8, 4, 4), seed=12)
         out = lcrm.forward(x, train=False)
@@ -308,9 +324,9 @@ class TestSISM:
         rng = stream(18, "sism")
         for _, t in store.trainable():
             t.data = rng.standard_normal(t.shape) * 0.1
-        capture = {}
-        sism.forward(Tensor(rng.standard_normal((1, 4, 5, 5))), capture=capture)
-        attn = capture["s.attn"]
+        with bl.capture() as maps:
+            sism.forward(Tensor(rng.standard_normal((1, 4, 5, 5))))
+        attn = maps["s.attn"]
         assert attn.shape == (1, 1, 5, 5)
         assert attn.min() > 0.0 and attn.max() < 1.0
 
@@ -318,9 +334,9 @@ class TestSISM:
         """The zero-initialized attention conv gives sigmoid(0) = 0.5 everywhere."""
         cfg = bl.BlockConfig(channels=4, window_size=2, heads=2)
         sism, _ = _build(lambda s: bl.SISM(s, "s", cfg))
-        capture = {}
-        sism.forward(_rand((1, 4, 4, 4), seed=19), capture=capture)
-        np.testing.assert_array_equal(capture["s.attn"], 0.5)
+        with bl.capture() as maps:
+            sism.forward(_rand((1, 4, 4, 4), seed=19))
+        np.testing.assert_array_equal(maps["s.attn"], 0.5)
 
 
 class TestBlockConfig:

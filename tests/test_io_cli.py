@@ -270,6 +270,18 @@ class TestCliInferAndAttn:
         assert run_cli(*args) == 0
         assert mask_path.read_bytes() == first
 
+    @pytest.mark.parametrize("window", [(), ("--window", "64", "--stride", "32")])
+    def test_infer_any_image_size(self, trained, tmp_path, window):
+        """Sides that are not multiples of 32, one clamped window or several."""
+        from lightformer.synthetic import make_sample
+        image, _ = make_sample(0, "demo", 0, 96)
+        u8 = np.clip(image[:, :50, :70] * 255.0 + 0.5, 0, 255).astype(np.uint8)
+        scene = tmp_path / "odd.ppm"
+        fileio.write_ppm(scene, u8.transpose(1, 2, 0))
+        assert run_cli("infer", str(scene), "--out", str(trained), *TINY, *window) == 0
+        mask = fileio.read_pgm(trained / "odd_mask.pgm")
+        assert mask.shape == (50, 70) and mask.max() < 3
+
     def test_infer_missing_checkpoint_is_runtime_error(self, tmp_path):
         scene = self._write_input(tmp_path)
         assert run_cli("infer", str(scene), "--out", str(tmp_path / "none"), *TINY) == 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lightformer import ShapeError, Tensor, ops, tensor
+from lightformer import ShapeError, Tensor, fileio, ops
+from lightformer.tensor import tensor
 from lightformer.rng import stream
 
 from oracles import (naive_bilinear, naive_conv2d, naive_matmul, naive_nearest,
@@ -20,10 +21,19 @@ class TestTensorBasics:
         assert Tensor([1, 2, 3]).dtype == np.float32
         assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
 
-    def test_rank_limit(self):
-        Tensor(np.zeros((1, 1, 1, 1, 1), dtype=np.float32))
-        with pytest.raises(ShapeError):
-            Tensor(np.zeros((1, 1, 1, 1, 1, 1), dtype=np.float32))
+    def test_rank_limit(self, tmp_path):
+        # Tensors take any rank; only the file format caps it at 5.
+        t = Tensor(np.arange(64, dtype=np.float32).reshape(2, 2, 2, 2, 2, 2))
+        assert ops.reshape(t, (4, 16)).shape == (4, 16)
+        assert ops.reshape(ops.reshape(t, (64,)), (2,) * 6).shape == (2,) * 6
+        with pytest.raises(fileio.FormatError):
+            fileio.write_tensor(tmp_path / "r6.lftr", t.data)
+
+    def test_module_name_not_shadowed(self):
+        import lightformer
+        import lightformer.tensor as m
+
+        assert m.Tape is lightformer.Tape
 
     def test_item_requires_single_element(self):
         assert tensor([[2.5]]).item() == 2.5

@@ -308,67 +308,6 @@ class TestStandardize:
             tr.standardize(np.ones((2, 2, 3), np.float32), (0,) * 3, (1,) * 3)
 
 
-class _ScriptedRng:
-    """Plays back a fixed list of integers() results."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def integers(self, low, high):
-        return self.values.pop(0)
-
-
-class TestRandomCrop:
-    def _flat_image(self, mask):
-        return np.broadcast_to(mask.astype(np.float32), (3, *mask.shape)).copy()
-
-    def test_accepts_first_balanced_crop(self):
-        mask = np.zeros((8, 8), dtype=np.uint8)
-        mask[:, 4:] = 1  # any 4x4 crop straddling the boundary is balanced
-        rng = _ScriptedRng([2, 2])
-        img, crop = tr.random_crop(self._flat_image(mask), mask, 4, rng)
-        assert crop.shape == (4, 4) and img.shape == (3, 4, 4)
-        assert rng.values == []  # one draw was enough
-
-    def test_rejects_dominated_crops(self):
-        mask = np.zeros((8, 8), dtype=np.uint8)
-        mask[:, 6:] = 1
-        # first draw is pure class 0 (dominated), second straddles the edge
-        rng = _ScriptedRng([0, 0, 0, 4])
-        _, crop = tr.random_crop(self._flat_image(mask), mask, 4, rng)
-        counts = np.bincount(crop.reshape(-1), minlength=2)
-        assert counts.max() / counts.sum() <= 0.75
-
-    def test_last_crop_wins_when_everything_dominated(self):
-        mask = np.zeros((8, 8), dtype=np.uint8)
-        rng = _ScriptedRng([i % 5 for i in range(20)])
-        img, crop = tr.random_crop(self._flat_image(mask), mask, 4, rng)
-        assert crop.shape == (4, 4)
-        assert len(rng.values) == 0  # all ten draws were consumed
-
-    def test_ignored_pixels_do_not_count_toward_dominance(self):
-        mask = np.full((4, 4), 255, dtype=np.uint8)
-        mask[0, 0] = 0
-        mask[0, 1] = 1
-        _, crop = tr.random_crop(self._flat_image(mask) * 0, mask, 4,
-                                 _ScriptedRng([0, 0]))
-        assert crop.shape == (4, 4)
-
-    def test_returns_copies(self):
-        mask = np.zeros((6, 6), dtype=np.uint8)
-        mask[:, 3:] = 1
-        image = self._flat_image(mask)
-        img_c, mask_c = tr.random_crop(image, mask, 4, _ScriptedRng([1, 1]))
-        mask_c[:] = 9
-        img_c[:] = 9.0
-        assert mask.max() == 1 and image.max() == 1.0
-
-    def test_oversized_crop_rejected(self):
-        mask = np.zeros((4, 4), dtype=np.uint8)
-        with pytest.raises(ShapeError):
-            tr.random_crop(self._flat_image(mask), mask, 8, _ScriptedRng([0, 0]))
-
-
 class TestAugment:
     def test_pairs_stay_aligned(self):
         rng_data = stream(2, "aug")
