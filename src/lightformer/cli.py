@@ -1,7 +1,9 @@
 """Command-line surface: analyze | gradcheck | train-toy | infer | dump-attn.
 
-Every command echoes the effective configuration to ``<out_dir>/config.ini``
-and writes byte-identical outputs for identical (config, seed). Exit codes:
+Every command echoes the effective configuration to ``<out_dir>/config.ini``;
+``infer`` and ``dump-attn`` write ``infer.ini`` and ``dump-attn.ini`` instead,
+so that pointing them at a training run's directory keeps the config it was
+trained with. Outputs are byte-identical for identical (config, seed). Exit codes:
 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
@@ -27,10 +29,15 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+# Commands that read a checkpoint from their output directory echo their
+# config under their own name.
+_CONFIG_NAMES = {"infer": "infer.ini", "dump-attn": "dump-attn.ini"}
+
+
 def _prepare_out(cfg: RunConfig, args) -> str:
     out_dir = args.out if args.out else cfg["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    _write(os.path.join(out_dir, "config.ini"), cfg.to_text())
+    _write(os.path.join(out_dir, _CONFIG_NAMES.get(args.command, "config.ini")), cfg.to_text())
     return out_dir
 
 

@@ -83,8 +83,9 @@ def _read_tensor_payload(fh, dtype, dims) -> np.ndarray:
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
+    blob = tensor_to_bytes(arr)  # validate before the open truncates the target
     with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(arr))
+        fh.write(blob)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -129,7 +130,10 @@ def read_container(path) -> dict:
         entries = []
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("entry name is not valid UTF-8") from None
             code, rank = struct.unpack("<BI", _read_exact(fh, 5, "entry header"))
             if code not in _DTYPE_CODES:
                 raise FormatError(f"entry {name!r}: unknown dtype code {code}")
@@ -203,9 +207,14 @@ def _read_netpbm(path, magic: str):
             pos += 1
         if start == pos:
             raise FormatError(f"truncated header in {path}")
-        tokens.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token.isdigit() or len(token) > 10:
+            raise FormatError(f"header field {token[:16]!r} is not an integer of at most 10 digits in {path}")
+        tokens.append(int(token))
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = tokens
+    if width == 0 or height == 0:
+        raise FormatError(f"empty image ({width}x{height}) in {path}")
     if maxval != 255:
         raise FormatError(f"only maxval 255 is supported, got {maxval}")
     return data[pos:], width, height

@@ -396,6 +396,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     Output extent follows H' = floor((H + 2p - kh)/s) + 1 per axis. groups
     partitions channels; groups == Cin with one input channel per filter is
     the depthwise case. Stride, padding, and kernel may differ per axis.
+
+    groups == Cin == Cout (one filter per channel) runs ``_conv2d_depthwise``,
+    a multiply-accumulate over shifted views of the padded input. Every other
+    grouping turns each tap into a batch of per-group matmuls over a copy of
+    the strided input slice, kept for the adjoint.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -424,6 +429,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
             raise ShapeError(f"conv2d: bias shape {bias.shape} != ({Cout},)")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+    if groups == Cin == Cout:
+        return _conv2d_depthwise(x, weight, bias, xp, (sh, sw), (ph, pw), (Ho, Wo))
     Hp, Wp = xp.shape[2], xp.shape[3]
     xg = xp.reshape(B, groups, Cin_g, Hp, Wp)
     wg = weight.data.reshape(groups, Cout // groups, Cin_g, kh, kw)
@@ -459,6 +466,56 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _result("conv2d", inputs, y, backward)
+
+
+def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, xp, stride, padding, out_hw) -> Tensor:
+    """conv2d for groups == Cin == Cout: a multiply-accumulate per tap over strided views of xp.
+
+    Nothing is copied per tap except one transient slice in the weight
+    adjoint. Taps run in the grouped path's row-major order and every
+    product and sum is the same floating-point operation, so results match
+    it bit for bit.
+    """
+    (sh, sw), (ph, pw), (Ho, Wo) = stride, padding, out_hw
+    B, C, H, W = x.shape
+    kh, kw = weight.shape[2:]
+    wt = weight.data[:, 0]
+
+    def tap(u, v):
+        return (slice(None), slice(None), slice(u, u + sh * (Ho - 1) + 1, sh), slice(v, v + sw * (Wo - 1) + 1, sw))
+
+    out = np.zeros((B, C, Ho, Wo), dtype=x.dtype)
+    # Channel blocks of about 256 KiB keep their slices of out, xp and the
+    # product in cache across all taps.
+    step = max(1, (1 << 18) // out[:, :1].nbytes)
+    prod = np.empty_like(out[:, :step])
+    for c in range(0, C, step):
+        acc, xc, wc = out[:, c : c + step], xp[:, c : c + step], wt[c : c + step]
+        pc = prod[:, : acc.shape[1]]
+        for u in range(kh):
+            for v in range(kw):
+                acc += np.multiply(wc[:, u, v].reshape(1, -1, 1, 1), xc[tap(u, v)], out=pc)
+    if bias is not None:
+        out += bias.data.reshape(1, C, 1, 1)
+
+    def backward(g):
+        gg = g.reshape(B, C, 1, Ho * Wo)
+        gw = np.empty_like(wt)
+        gxp = np.zeros_like(xp)
+        prod = np.empty_like(g)
+        for u in range(kh):
+            for v in range(kw):
+                xs = np.ascontiguousarray(xp[tap(u, v)]).reshape(B, C, 1, Ho * Wo)
+                gw[:, u, v] = np.matmul(gg, xs.swapaxes(-1, -2)).sum(axis=0)[:, 0, 0]
+                gxp[tap(u, v)] += np.multiply(wt[:, u, v].reshape(1, C, 1, 1), g, out=prod)
+        gx = gxp[:, :, ph : ph + H, pw : pw + W]
+        grads = [np.ascontiguousarray(gx), gw.reshape(C, 1, kh, kw)]
+        if bias is not None:
+            grads.append(g.sum(axis=(0, 2, 3)))
+        return tuple(grads)
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _result("conv2d", inputs, out, backward)
 
 
 def pool2d(x: Tensor, kind: str, kernel, stride=None) -> Tensor:

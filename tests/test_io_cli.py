@@ -50,6 +50,25 @@ class TestTensorFormat:
             fileio.read_tensor(path)
 
 
+    @pytest.mark.parametrize("bad", [np.zeros((1,) * 6, np.float32), np.zeros(2, np.int32)],
+                             ids=["rank6", "int32"])
+    def test_rejected_array_creates_no_file(self, tmp_path, bad):
+        path = tmp_path / "t.lftr"
+        with pytest.raises(fileio.FormatError):
+            fileio.write_tensor(path, bad)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.zeros((1,) * 6, np.float32), np.zeros(2, np.int32)],
+                             ids=["rank6", "int32"])
+    def test_rejected_array_keeps_existing_file(self, tmp_path, bad):
+        path = tmp_path / "t.lftr"
+        fileio.write_tensor(path, np.arange(3, dtype=np.float32))
+        before = path.read_bytes()
+        with pytest.raises(fileio.FormatError):
+            fileio.write_tensor(path, bad)
+        assert path.read_bytes() == before
+
+
 class TestContainerFormat:
     def test_roundtrip_preserves_order_and_values(self, tmp_path):
         path = tmp_path / "c.lftc"
@@ -96,6 +115,52 @@ class TestNetpbm:
         fileio.write_pgm(path, np.zeros((2, 2), np.uint8))
         with pytest.raises(fileio.FormatError, match="magic"):
             fileio.read_ppm(path)
+
+
+    def test_non_integer_header_field(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n4 3x\n255\n" + bytes(12))
+        with pytest.raises(fileio.FormatError, match="integer"):
+            fileio.read_pgm(path)
+
+    @pytest.mark.parametrize("dims", [b"0 3", b"4 0", b"0 0"])
+    def test_zero_size_rejected(self, tmp_path, dims):
+        path = tmp_path / "m.ppm"
+        path.write_bytes(b"P6\n" + dims + b"\n255\n")
+        with pytest.raises(fileio.FormatError, match="empty"):
+            fileio.read_ppm(path)
+
+
+def test_readers_fail_only_with_format_error(tmp_path):
+    """Truncated and byte-edited copies of valid files either read or raise FormatError."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    samples = {}
+    for name, write, read, value in (
+            ("t.lftr", fileio.write_tensor, fileio.read_tensor, np.arange(6, dtype=np.float32).reshape(2, 3)),
+            ("c.lftc", fileio.write_container, fileio.read_container,
+             {"w": np.ones((2, 2)), "bias": np.zeros(3, np.float32)}),
+            ("m.pgm", fileio.write_pgm, fileio.read_pgm, np.arange(6, dtype=np.uint8).reshape(2, 3)),
+            ("m.ppm", fileio.write_ppm, fileio.read_ppm, np.arange(12, dtype=np.uint8).reshape(2, 2, 3))):
+        write(tmp_path / name, value)
+        samples[name] = ((tmp_path / name).read_bytes(), read)
+    path = tmp_path / "fuzz.bin"
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(name=st.sampled_from(sorted(samples)), data=st.data())
+    def check(name, data):
+        raw, read = samples[name]
+        edited = bytearray(raw[:data.draw(st.integers(0, len(raw)))])
+        for _ in range(data.draw(st.integers(0, 3))):
+            if edited:
+                edited[data.draw(st.integers(0, len(edited) - 1))] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(edited))
+        try:
+            read(path)
+        except fileio.FormatError:
+            pass
+
+    check()
 
 
 class TestRunConfig:
@@ -281,6 +346,16 @@ class TestCliInferAndAttn:
         assert run_cli("infer", str(scene), "--out", str(trained), *TINY, *window) == 0
         mask = fileio.read_pgm(trained / "odd_mask.pgm")
         assert mask.shape == (50, 70) and mask.max() < 3
+
+    def test_infer_keeps_training_config(self, trained, tmp_path):
+        scene = self._write_input(tmp_path)
+        before = (trained / "config.ini").read_bytes()
+        assert run_cli("infer", str(scene), "--out", str(trained), *TINY, "--window", "32") == 0
+        assert run_cli("dump-attn", str(scene), "--out", str(trained), *TINY) == 0
+        assert (trained / "config.ini").read_bytes() == before
+        echoed = config.parse_text((trained / "infer.ini").read_text())
+        assert echoed["infer.window"] == 32
+        assert (trained / "dump-attn.ini").exists()
 
     def test_infer_missing_checkpoint_is_runtime_error(self, tmp_path):
         scene = self._write_input(tmp_path)

@@ -1,9 +1,12 @@
-"""Forward-pass checks of the tensor layer against naive references."""
+"""Checks of the tensor layer against naive references and finite differences."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lightformer import ShapeError, Tensor, fileio, ops
+from lightformer import ShapeError, Tape, Tensor, fileio, ops
+from lightformer.gradcheck import PRIMITIVE_TOL, check_gradients
 from lightformer.tensor import tensor
 from lightformer.rng import stream
 
@@ -28,6 +31,7 @@ class TestTensorBasics:
         assert ops.reshape(ops.reshape(t, (64,)), (2,) * 6).shape == (2,) * 6
         with pytest.raises(fileio.FormatError):
             fileio.write_tensor(tmp_path / "r6.lftr", t.data)
+        assert not (tmp_path / "r6.lftr").exists()
 
     def test_module_name_not_shadowed(self):
         import lightformer
@@ -86,7 +90,9 @@ class TestBroadcasting:
         assert ops.add(a, 1.0).dtype == np.float64
 
 
-@pytest.mark.parametrize("geometry", [
+# groups == cin == cout takes conv2d's depthwise path; every other grouping
+# takes the general grouped path. dtype defaults to float32.
+CONV_GEOMETRIES = [
     dict(cin=3, cout=4, kernel=(1, 1)),
     dict(cin=3, cout=4, kernel=(3, 3), padding=1),
     dict(cin=3, cout=4, kernel=(3, 3), stride=2, padding=1),
@@ -95,23 +101,91 @@ class TestBroadcasting:
     dict(cin=3, cout=2, kernel=(1, 3), padding=(0, 1)),
     dict(cin=2, cout=3, kernel=(5, 5), padding=2),
     dict(cin=3, cout=2, kernel=(3, 3), stride=(2, 1), padding=(1, 0)),
-])
-@pytest.mark.parametrize("use_bias", [False, True])
-def test_conv2d_matches_naive(geometry, use_bias):
-    rng = stream(11, "conv", str(sorted(geometry.items())), str(use_bias))
+    dict(cin=4, cout=4, kernel=(3, 3), stride=2, padding=1, groups=4),
+    dict(cin=4, cout=4, kernel=(3, 5), padding=(1, 2), groups=4),
+    dict(cin=4, cout=4, kernel=(3, 3), stride=2, padding=1, groups=4, dtype=np.float64),
+    dict(cin=4, cout=4, kernel=(3, 5), stride=(2, 1), padding=(1, 2), groups=4, dtype=np.float64),
+    dict(cin=3, cout=6, kernel=(3, 3), padding=1, groups=3),  # one input channel, two filters each
+]
+
+
+def _conv_case(rng, geometry, use_bias, dtype=None, requires_grad=False):
     g = dict(geometry)
     cin, cout = g.pop("cin"), g.pop("cout")
     kernel = g.pop("kernel")
+    own_dtype = g.pop("dtype", np.float32)
+    dtype = dtype or own_dtype
     groups = g.get("groups", 1)
-    x = randt(rng, (2, cin, 7, 8))
-    w = randt(rng, (cout, cin // groups, *kernel))
-    b = randt(rng, (cout,)) if use_bias else None
+    shapes = [(2, cin, 7, 8), (cout, cin // groups, *kernel)] + ([(cout,)] if use_bias else [])
+    tensors = [Tensor(rng.standard_normal(s), dtype=dtype, requires_grad=requires_grad) for s in shapes]
+    x, w, b = tensors + [None] * (3 - len(tensors))
+    return x, w, b, g
+
+
+@pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_conv2d_matches_naive(geometry, use_bias):
+    rng = stream(11, "conv", str(sorted(geometry.items())), str(use_bias))
+    x, w, b, g = _conv_case(rng, geometry, use_bias)
     out = ops.conv2d(x, w, b, **g)
     ref = naive_conv2d(x.data.astype(np.float64), w.data.astype(np.float64),
                        None if b is None else b.data.astype(np.float64),
-                       g.get("stride", 1), g.get("padding", 0), groups)
-    assert out.shape == ref.shape
-    np.testing.assert_allclose(out.data, ref, rtol=2e-5, atol=2e-5)
+                       g.get("stride", 1), g.get("padding", 0), g.get("groups", 1))
+    assert out.shape == ref.shape and out.dtype == x.dtype
+    tol = 1e-12 if x.dtype == np.float64 else 2e-5
+    np.testing.assert_allclose(out.data, ref, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_conv2d_adjoint_matches_finite_differences(geometry, use_bias):
+    rng = stream(12, "conv.fd", str(sorted(geometry.items())), str(use_bias))
+    x, w, b, g = _conv_case(rng, geometry, use_bias, dtype=np.float64, requires_grad=True)
+    wrt = [t for t in (x, w, b) if t is not None]
+    result = check_gradients(lambda: ops.conv2d(x, w, b, **g), wrt, tol=PRIMITIVE_TOL, name="conv2d")
+    assert result.ok, str(result)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_depthwise_bitwise_matches_grouped_path(dtype):
+    # Cout = 2*Cin runs the general grouped path. With the odd filters zeroed,
+    # its even channels make the same products and sums as the depthwise path;
+    # only the weight adjoint's dot products may round differently.
+    rng = stream(14, "conv.paths", np.dtype(dtype).name)
+    C = 5
+    x = Tensor(rng.standard_normal((2, C, 9, 11)), dtype=dtype, requires_grad=True)
+    w = Tensor(rng.standard_normal((C, 1, 3, 5)), dtype=dtype, requires_grad=True)
+    b = Tensor(rng.standard_normal((C,)), dtype=dtype)
+    direction = rng.standard_normal((2, C, 5, 6)).astype(dtype)
+    w2 = Tensor(np.zeros((2 * C, 1, 3, 5)), dtype=dtype, requires_grad=True)
+    b2 = Tensor(np.zeros(2 * C), dtype=dtype)
+    direction2 = np.zeros((2, 2 * C, 5, 6), dtype=dtype)
+    w2.data[0::2], b2.data[0::2], direction2[:, 0::2] = w.data, b.data, direction
+    runs = []
+    for weight, bias, d in ((w, b, direction), (w2, b2, direction2)):
+        with Tape() as tape:
+            y = ops.conv2d(x, weight, bias, stride=2, padding=(1, 2), groups=C)
+            loss = ops.sum_(ops.mul(y, Tensor(d)))
+        grads = tape.backward(loss)
+        runs.append((y.data[:, ::y.shape[1] // C], grads[x], grads[weight][::weight.shape[0] // C]))
+    (y1, gx1, gw1), (y2, gx2, gw2) = runs
+    np.testing.assert_array_equal(y1, y2)
+    np.testing.assert_array_equal(gx1, gx2)
+    np.testing.assert_allclose(gw1, gw2, rtol=1e-5 if dtype == np.float32 else 1e-12)
+
+
+def test_conv2d_depthwise_forward_memory():
+    # Untaped, the depthwise path holds the padded input, the output and one
+    # product buffer; the general path kept a copy of the input per tap.
+    x = Tensor(np.ones((1, 16, 128, 128), dtype=np.float32))
+    w = Tensor(np.ones((16, 1, 7, 7), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        ops.conv2d(x, w, None, padding=3, groups=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.data.nbytes
 
 
 def test_conv2d_shape_errors():
