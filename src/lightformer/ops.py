@@ -575,49 +575,43 @@ def pool2d(x: Tensor, kind: str, kernel, stride=None) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def _bilinear_axis(n_in: int, n_out: int):
-    """Half-pixel-center source indices/fractions for one axis (float64)."""
-    pos = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-    pos = np.maximum(pos, 0.0)
+def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """Read-only [n_out, n_in] half-pixel-center interpolation matrix.
+
+    Row i holds ``1 - frac`` at the clamped source index below output i and
+    ``frac`` at the one above (both land in one column at the far edge).
+    """
+    pos = np.maximum((np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5, 0.0)
     i0 = np.minimum(pos.astype(np.int64), n_in - 1)
-    frac = pos - i0
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    return i0, i1, frac
+    frac = (pos - i0).astype(dtype)
+    a = np.zeros((n_out, n_in), dtype=dtype)
+    rows = np.arange(n_out)
+    a[rows, i0] = 1 - frac
+    a[rows, np.minimum(i0 + 1, n_in - 1)] += frac
+    a.flags.writeable = False
+    return a
 
 
 def upsample_bilinear(x: Tensor, out_hw) -> Tensor:
-    """Bilinear upsample of [B,C,H,W] to (H2, W2) with half-pixel centers."""
+    """Bilinear upsample of [B,C,H,W] to (H2, W2) with half-pixel centers.
+
+    Runs as two dense per-axis matmuls, ``Ay @ x @ Axᵀ``, with adjoint
+    ``Ayᵀ @ g @ Ax``. The cost tables in ``efficiency`` still count one op
+    per output element, the resize's analytic cost, not these matmuls' MACs.
+    """
     H2, W2 = (int(v) for v in out_hw)
     if x.ndim != 4:
         raise ShapeError(f"upsample_bilinear: expected rank-4 input, got {x.shape}")
-    B, C, H, W = x.shape
+    H, W = x.shape[2:]
     if H2 < H or W2 < W:
         raise ShapeError(f"upsample_bilinear: target {(H2, W2)} smaller than input {(H, W)} (downscale not supported)")
-    y0, y1, fy = _bilinear_axis(H, H2)
-    x0, x1, fx = _bilinear_axis(W, W2)
-    wy = fy.astype(x.dtype)[:, None]
-    wx = fx.astype(x.dtype)[None, :]
-    w00 = (1 - wy) * (1 - wx)
-    w01 = (1 - wy) * wx
-    w10 = wy * (1 - wx)
-    w11 = wy * wx
-    d = x.data
-    y = (
-        d[:, :, y0[:, None], x0[None, :]] * w00
-        + d[:, :, y0[:, None], x1[None, :]] * w01
-        + d[:, :, y1[:, None], x0[None, :]] * w10
-        + d[:, :, y1[:, None], x1[None, :]] * w11
-    )
+    ay = _bilinear_matrix(H, H2, x.dtype)
+    ax = _bilinear_matrix(W, W2, x.dtype)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), slice(None), y0[:, None], x0[None, :]), g * w00)
-        np.add.at(gx, (slice(None), slice(None), y0[:, None], x1[None, :]), g * w01)
-        np.add.at(gx, (slice(None), slice(None), y1[:, None], x0[None, :]), g * w10)
-        np.add.at(gx, (slice(None), slice(None), y1[:, None], x1[None, :]), g * w11)
-        return (gx,)
+        return (np.matmul(ay.T, np.matmul(g, ax)),)
 
-    return _result("upsample_bilinear", (x,), np.ascontiguousarray(y), backward)
+    return _result("upsample_bilinear", (x,), np.matmul(np.matmul(ay, x.data), ax.T), backward)
 
 
 def nearest_upsample(x: Tensor, factors) -> Tensor:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lightformer import Tape, TapeError, Tensor, ops
-from lightformer.gradcheck import PRIMITIVE_TOL, check_gradients, op_cases, run_suite
+from lightformer.gradcheck import PRIMITIVE_TOL, block_cases, check_gradients, op_cases, run_suite
 from lightformer.rng import stream
 
 
@@ -122,6 +122,16 @@ class TestPrimitiveGradients:
         x = f64(rng, (3, 4))
         result = check_gradients(lambda: ops.relu(x), [x], tol=PRIMITIVE_TOL, name="corrupted")
         assert not result.ok
+
+    def test_e2e_kink_straddle_resolved(self):
+        # Seed 204's whole-network case has a bias coordinate (wrt[5], index
+        # 2) whose difference still straddles a ReLU kink at 1/64 of the base
+        # step (err 3.4e-3) and converges only at 1/256 (err 4e-10).
+        name, fn, wrt, tol, max_coords = next(c for c in block_cases(204, 0)
+                                              if c[0] == "decoder.total_loss.e2e#0")
+        assert wrt[5].shape == (4,)
+        result = check_gradients(fn, [wrt[5]], tol=tol, name=name, seed=204, max_coords=max_coords)
+        assert result.ok, str(result)
 
     def test_float32_inputs_rejected(self):
         x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)

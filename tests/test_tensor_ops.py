@@ -343,6 +343,19 @@ class TestElementwise:
         np.testing.assert_allclose(out.data, [5.0, 4.0])
 
 
+# (in_hw, out_hw): the decoder's 2x CFFM, 4x head and 32x aux-head resizes,
+# then an uneven ratio, a size-1 axis and an identity.
+RESIZE_GEOMETRIES = [
+    ((8, 8), (16, 16)),
+    ((16, 16), (64, 64)),
+    ((2, 2), (64, 64)),
+    ((3, 5), (5, 7)),
+    ((1, 4), (3, 9)),
+    ((4, 6), (4, 6)),
+]
+RESIZE_IDS = ["2x", "4x", "32x", "uneven", "size1", "same"]
+
+
 class TestResize:
     def test_bilinear_1d_frozen_values(self):
         # 1x2 -> 1x4 with half-pixel centers: [0, 0.25, 0.75, 1].
@@ -362,6 +375,49 @@ class TestResize:
         x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
         with pytest.raises(ShapeError):
             ops.upsample_bilinear(x, (2, 8))
+
+    @pytest.mark.parametrize("in_hw, out_hw", RESIZE_GEOMETRIES, ids=RESIZE_IDS)
+    def test_bilinear_float64_matches_naive(self, in_hw, out_hw):
+        x = randt(stream(30, "bl.f64", str(in_hw)), (2, 3, *in_hw), dtype=np.float64)
+        out = ops.upsample_bilinear(x, out_hw)
+        assert out.shape == (2, 3, *out_hw) and out.dtype == np.float64
+        np.testing.assert_allclose(out.data, naive_bilinear(x.data, out_hw), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bilinear_same_size_is_bit_exact(self, dtype):
+        x = randt(stream(30, "bl.same"), (2, 3, 5, 7), dtype=dtype)
+        np.testing.assert_array_equal(ops.upsample_bilinear(x, (5, 7)).data, x.data)
+
+    @pytest.mark.parametrize("in_hw, out_hw", RESIZE_GEOMETRIES, ids=RESIZE_IDS)
+    def test_bilinear_adjoint_dot_product(self, in_hw, out_hw):
+        # <resize(x), g> == <x, resize^T(g)> for the tape's adjoint.
+        rng = stream(30, "bl.dot", str(in_hw))
+        x = Tensor(rng.standard_normal((2, 3, *in_hw)), dtype=np.float64, requires_grad=True)
+        g = rng.standard_normal((2, 3, *out_hw))
+        with Tape() as tape:
+            y = ops.upsample_bilinear(x, out_hw)
+        (gx,) = tape.nodes[-1].backward(g)
+        assert gx.shape == x.shape
+        np.testing.assert_allclose(np.vdot(y.data, g), np.vdot(x.data, gx), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("in_hw, out_hw", RESIZE_GEOMETRIES, ids=RESIZE_IDS)
+    def test_bilinear_adjoint_matches_finite_differences(self, in_hw, out_hw):
+        x = Tensor(stream(30, "bl.fd", str(in_hw)).standard_normal((1, 2, *in_hw)), dtype=np.float64,
+                   requires_grad=True)
+        result = check_gradients(lambda: ops.upsample_bilinear(x, out_hw), [x], tol=PRIMITIVE_TOL,
+                                 name="upsample_bilinear")
+        assert result.ok, str(result)
+
+    def test_bilinear_matrices_are_read_only(self):
+        x = randt(stream(30, "bl.ro"), (1, 2, 3, 5))
+        before = ops.upsample_bilinear(x, (5, 7)).data
+        for n_in, n_out in ((3, 5), (5, 7)):
+            a = ops._bilinear_matrix(n_in, n_out, x.dtype)
+            with pytest.raises(ValueError):
+                a[0, 0] = 7.0
+            with pytest.raises(ValueError):
+                a.T[0, 0] = 7.0
+        np.testing.assert_array_equal(ops.upsample_bilinear(x, (5, 7)).data, before)
 
     def test_nearest_matches_naive(self):
         rng = stream(29, "nn")
