@@ -1,22 +1,25 @@
 """Walk the analytic cost model from one conv to the whole decoder.
 
-The model prices every layer from its configuration alone (no tensors are
-allocated), which is what makes the split-vs-full-width comparison and the
-scaling-law checks instant. Conventions: FLOPs = 2 x MACs, parameters count
-trainable scalars only, and the non-multiply work (norms, activations,
-resizes, gates) is tallied in a separate ops column rather than silently
-dropped.
+Every layer prices itself with its ``cost`` method, reading its widths,
+kernels and strides from its own (uninitialized, zero-filled) weights; no
+forward runs, which is what makes the split-vs-full-width comparison and
+the scaling-law checks instant. Conventions: FLOPs = 2 x MACs, parameters
+count trainable scalars only, and the non-multiply work (norms,
+activations, resizes, gates) is tallied in a separate ops column rather
+than silently dropped.
 """
 
 from lightformer import efficiency as eff
 from lightformer import network as net
-from lightformer.blocks import BlockConfig
+from lightformer.blocks import BlockConfig, Conv2d
+from lightformer.params import ParamStore
 
 
 def main():
-    # One 3x3 conv, priced by hand first: 16->32 channels on a 64x64 map
-    # costs 32 * 16 * 9 MACs per output pixel.
-    row = eff.conv_cost("demo.conv", 16, 32, 3, (64, 64), batch=1)
+    # One 3x3 conv, checked by hand first: 16->32 channels on a 64x64 map
+    # (padding 1 keeps the size) costs 32 * 16 * 9 MACs per output pixel.
+    conv = Conv2d(ParamStore(), "demo.conv", 16, 32, 3, padding=1)
+    (row,) = eff.block_cost(conv, (64, 64), batch=1).rows
     print(f"3x3 conv 16->32 @ 64x64: {row.params} params, {row.macs:,} MACs")
     assert row.macs == 32 * 16 * 9 * 64 * 64
 
@@ -29,8 +32,7 @@ def main():
     for row in sorted(report.rows, key=lambda r: r.macs, reverse=True)[:10]:
         print(f"  {row.name:<40s} {row.macs:>12,}")
 
-    # The analytic count must agree exactly with a live parameter store;
-    # the two routes share a contract, not code.
+    # The rows must cover exactly the trainable tensors of a live store.
     store = net.init_params(cfg, seed=0)
     live = sum(t.data.size for _, t in store.trainable())
     print(f"\nanalytic params {eff.count_params(cfg):,} == live store {live:,}")

@@ -10,6 +10,12 @@ last map with multi-scale depthwise context and a sigmoid spatial gate.
 All blocks register parameters against a shared ParamStore under a dotted
 prefix and keep only Tensor handles, so checkpoint IO and the optimizer
 never need to walk module objects.
+
+Every layer and block also prices itself: ``cost(rep, hw, batch)`` adds
+its rows to an ``efficiency.CostReport`` in forward order, each named by the
+prefix its parameters carry, and returns its output (H, W). Parameters and
+MACs come from the layer's own weights, strides and padding; the
+conventions are in ``efficiency``.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ class Conv2d:
         self.weight = store.add(f"{prefix}.weight",
                                 (out_channels, in_channels // groups, kh, kw), w_init)
         self.bias = store.add(f"{prefix}.bias", (out_channels,), ("zeros",)) if bias else None
+        self.prefix = prefix
         self.stride = stride
         self.padding = padding
         self.groups = groups
@@ -98,10 +105,31 @@ class Conv2d:
         return ops.conv2d(x, self.weight, self.bias, stride=self.stride,
                           padding=self.padding, groups=self.groups)
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        cout, _, kh, kw = self.weight.shape
+        (sh, sw), (ph, pw) = _pair(self.stride), _pair(self.padding)
+        ho = (hw[0] + 2 * ph - kh) // sh + 1
+        wo = (hw[1] + 2 * pw - kw) // sw + 1
+        if self.bias is None:
+            rep.add(self.prefix, params=self.weight.size, macs=self.weight.size * ho * wo * batch)
+        else:
+            rep.add(self.prefix, params=self.weight.size + self.bias.size,
+                    macs=self.weight.size * ho * wo * batch, ops=batch * cout * ho * wo)
+        return (ho, wo)
+
 
 class Identity:
+    """``norm="none"``: passes its input through and prices a zero row."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return x
+
+    def cost(self, rep, hw, batch: int) -> tuple:
+        rep.add(self.prefix)
+        return hw
 
 
 class BatchNorm2d:
@@ -117,6 +145,7 @@ class BatchNorm2d:
     def __init__(self, store: ParamStore, prefix: str, channels: int,
                  eps: float = 1e-5, momentum: float = 0.1):
         self.store = store
+        self.prefix = prefix
         self.channels = channels
         self.eps = eps
         self.momentum = momentum
@@ -149,6 +178,11 @@ class BatchNorm2d:
         b = ops.reshape(self.beta, (1, c, 1, 1))
         return ops.add(ops.mul(xhat, g), b)
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        rep.add(self.prefix, params=self.gamma.size + self.beta.size,
+                ops=batch * self.channels * hw[0] * hw[1])
+        return hw
+
 
 class GroupNorm2d:
     """Stateless per-sample normalization over channel groups; train == eval."""
@@ -160,6 +194,7 @@ class GroupNorm2d:
         if channels % groups:
             raise ShapeError(f"{prefix}: groups={groups} must divide channels={channels}")
         self.store = store
+        self.prefix = prefix
         self.channels = channels
         self.groups = groups
         self.eps = eps
@@ -181,6 +216,8 @@ class GroupNorm2d:
         bet = ops.reshape(self.beta, (1, c, 1, 1))
         return ops.add(ops.mul(xhat, gam), bet)
 
+    cost = BatchNorm2d.cost
+
 
 def make_norm(store: ParamStore, prefix: str, channels: int, kind: str):
     if kind == "batch":
@@ -188,7 +225,7 @@ def make_norm(store: ParamStore, prefix: str, channels: int, kind: str):
     if kind == "group":
         return GroupNorm2d(store, prefix, channels)
     if kind == "none":
-        return Identity()
+        return Identity(prefix)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -198,6 +235,7 @@ class ConvNormAct:
     def __init__(self, store: ParamStore, prefix: str, in_channels: int, out_channels: int,
                  kernel=1, stride=1, padding=0, groups: int = 1,
                  norm: str = "batch", activation: str | None = "relu"):
+        self.prefix = prefix
         self.conv = Conv2d(store, f"{prefix}.conv", in_channels, out_channels, kernel,
                            stride=stride, padding=padding, groups=groups,
                            bias=(norm == "none"))
@@ -208,11 +246,18 @@ class ConvNormAct:
         y = self.norm.forward(self.conv.forward(x), train)
         return self.act(y) if self.act else y
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        hw = self.norm.cost(rep, self.conv.cost(rep, hw, batch), batch)
+        if self.act:
+            rep.add(f"{self.prefix}.act", ops=batch * self.conv.weight.shape[0] * hw[0] * hw[1])
+        return hw
+
 
 class GateWeights:
     """Two raw scalars whose softmax forms a convex pair of mixing weights."""
 
     def __init__(self, store: ParamStore, prefix: str):
+        self.prefix = prefix
         self.alpha = store.add(f"{prefix}.alpha", (1,), ("zeros",))
         self.beta = store.add(f"{prefix}.beta", (1,), ("zeros",))
 
@@ -224,6 +269,11 @@ class GateWeights:
     def raw(self):
         return ops.reshape(self.alpha, ()), ops.reshape(self.beta, ())
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        rep.add(f"{self.prefix}.alpha", params=self.alpha.size)
+        rep.add(f"{self.prefix}.beta", params=self.beta.size)
+        return hw
+
 
 class ECA:
     """Channel gate: global average pool, k-tap 1D conv across channels, sigmoid."""
@@ -231,6 +281,7 @@ class ECA:
     def __init__(self, store: ParamStore, prefix: str, channels: int, kernel: int = 3):
         if kernel < 1 or kernel % 2 == 0:
             raise ValueError(f"{prefix}: ECA kernel must be odd, got {kernel}")
+        self.prefix = prefix
         self.channels = channels
         self.kernel = kernel
         self.weight = store.add(f"{prefix}.conv.weight", (1, 1, 1, kernel),
@@ -246,6 +297,14 @@ class ECA:
         s = ops.sigmoid(s)
         s = ops.reshape(s, (b, c, 1, 1))
         return ops.mul(x, s)
+
+    def cost(self, rep, hw, batch: int) -> tuple:
+        c = self.channels
+        rep.add(f"{self.prefix}.pool", ops=batch * c)
+        # The k-tap conv runs once per channel of each pooled vector.
+        rep.add(f"{self.prefix}.conv", params=self.weight.size, macs=self.weight.size * c * batch)
+        rep.add(f"{self.prefix}.gate", ops=batch * c * (1 + hw[0] * hw[1]))
+        return hw
 
 
 def channel_shuffle(x: Tensor, groups: int) -> Tensor:
@@ -363,12 +422,28 @@ class WindowAttention:
             out = ops.crop2d(out, 0, 0, h, w)
         return out
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        ws = self.window_size
+        c = self.channels
+        hp, wp = hw[0] + (-hw[0]) % ws, hw[1] + (-hw[1]) % ws
+        self.qkv.cost(rep, (hp, wp), batch)
+        # Q K^T and probs x V: each ws^2 x d by d x ws^2 (or transposed) per
+        # window per head; both collapse to window^2 * channels per pixel.
+        rep.add(f"{self.prefix}.matmul", macs=2 * ws * ws * c * hp * wp * batch)
+        rep.add(f"{self.prefix}.softmax", ops=batch * self.heads * hp * wp * ws * ws)
+        # Two axis pools, two nearest upsamplings, and their sum.
+        rep.add(f"{self.prefix}.axis_pool",
+                ops=batch * c * (hp * wp // ws) * 2 + batch * c * hp * wp * 3)
+        return hw
+
 
 class GlobalBranch:
     """Pre-norm windowed attention with projection residual, then a pre-norm
     pointwise feed-forward residual, all at the branch width."""
 
     def __init__(self, store: ParamStore, prefix: str, channels: int, cfg: BlockConfig):
+        self.prefix = prefix
+        self.channels = channels
         self.norm1 = make_norm(store, f"{prefix}.norm1", channels, cfg.norm)
         self.attn = WindowAttention(store, f"{prefix}.attn", channels,
                                     cfg.window_size, cfg.heads)
@@ -385,6 +460,19 @@ class GlobalBranch:
         f = self.fc2.forward(self.act(self.fc1.forward(self.norm2.forward(x, train))))
         return ops.add(x, f)
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        pixels = batch * hw[0] * hw[1]
+        self.norm1.cost(rep, hw, batch)
+        self.attn.cost(rep, hw, batch)
+        self.proj.cost(rep, hw, batch)
+        rep.add(f"{self.prefix}.residual1", ops=pixels * self.channels)
+        self.norm2.cost(rep, hw, batch)
+        self.fc1.cost(rep, hw, batch)
+        rep.add(f"{self.prefix}.ffn_act", ops=pixels * self.fc1.weight.shape[0])
+        self.fc2.cost(rep, hw, batch)
+        rep.add(f"{self.prefix}.residual2", ops=pixels * self.channels)
+        return hw
+
 
 class LocalBranch:
     """Refine, spread context depthwise, then split into a normalized path and
@@ -395,6 +483,8 @@ class LocalBranch:
     """
 
     def __init__(self, store: ParamStore, prefix: str, channels: int, cfg: BlockConfig):
+        self.prefix = prefix
+        self.channels = channels
         self.refine = ConvNormAct(store, f"{prefix}.refine", channels, channels, 1,
                                   norm=cfg.norm, activation=cfg.activation)
         self.spread = Conv2d(store, f"{prefix}.spread.conv", channels, channels, 3,
@@ -413,6 +503,13 @@ class LocalBranch:
         second = ops.mul(gate, t)
         return ops.concat([first, second], axis=1)
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        for layer in (self.refine, self.spread, self.spread_norm, self.post,
+                      self.gate_in, self.gate_out):
+            layer.cost(rep, hw, batch)
+        rep.add(f"{self.prefix}.gate_mul", ops=batch * self.channels * hw[0] * hw[1])
+        return hw
+
 
 class LCRM:
     """Channel-split refinement block.
@@ -428,6 +525,7 @@ class LCRM:
                  channel_split: bool = True):
         c = cfg.channels
         self.cfg = cfg
+        self.prefix = prefix
         self.channel_split = channel_split
         width = c // 2 if channel_split else c
         self.width = width
@@ -452,6 +550,13 @@ class LCRM:
         y = channel_shuffle(y, self.cfg.shuffle_groups)
         return self.eca.forward(y)
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        self.global_branch.cost(rep, hw, batch)
+        self.local_branch.cost(rep, hw, batch)
+        self.fuse.cost(rep, hw, batch)
+        rep.add(f"{self.prefix}.shuffle", ops=batch * self.cfg.channels * hw[0] * hw[1])
+        return self.eca.cost(rep, hw, batch)
+
 
 class CFFM:
     """Gated skip fusion: upsample the deep map 2x, project the shallow map to
@@ -461,6 +566,7 @@ class CFFM:
     def __init__(self, store: ParamStore, prefix: str, cfg: BlockConfig, in_channels: int):
         c = cfg.channels
         self.cfg = cfg
+        self.prefix = prefix
         self.proj = ConvNormAct(store, f"{prefix}.proj", in_channels, c, 1,
                                 norm=cfg.norm, activation=cfg.activation)
         self.gate = GateWeights(store, f"{prefix}.gate")
@@ -487,6 +593,18 @@ class CFFM:
         z = self.fuse_dw_norm.forward(self.fuse_dw.forward(z), train)
         z = self.fuse_pw.forward(z, train)
         return self.eca.forward(z)
+
+    def cost(self, rep, hw, batch: int) -> tuple:
+        """``hw`` is the deep map's; the skip map and the output are twice it."""
+        out_hw = (2 * hw[0], 2 * hw[1])
+        n_out = batch * self.cfg.channels * out_hw[0] * out_hw[1]
+        rep.add(f"{self.prefix}.upsample", ops=n_out)
+        self.proj.cost(rep, out_hw, batch)
+        self.gate.cost(rep, out_hw, batch)
+        rep.add(f"{self.prefix}.gated_sum", ops=3 * n_out)
+        for layer in (self.fuse_dw, self.fuse_dw_norm, self.fuse_pw, self.eca):
+            layer.cost(rep, out_hw, batch)
+        return out_hw
 
 
 class SISM:
@@ -540,3 +658,19 @@ class SISM:
         w_detail, w_attn = self.gates.raw()
         out = ops.add(x, ops.mul(detail, w_detail))
         return ops.add(out, ops.mul(ops.mul(x, attn), w_attn))
+
+    def cost(self, rep, hw, batch: int) -> tuple:
+        pixels = batch * hw[0] * hw[1]
+        n = pixels * self.cfg.channels
+        for layer in (self.dw_mid, self.pw_mid, self.dw_long, self.pw_long,
+                      self.mix_mid, self.mix_long):
+            layer.cost(rep, hw, batch)
+        rep.add(f"{self.prefix}.stats", ops=2 * pixels)
+        self.stat_conv.cost(rep, hw, batch)
+        rep.add(f"{self.prefix}.stage_gate", ops=2 * pixels + 2 * n)
+        self.attn_proj.cost(rep, hw, batch)
+        rep.add(f"{self.prefix}.attn_gate", ops=pixels + n)
+        self.dw_detail.cost(rep, hw, batch)
+        self.gates.cost(rep, hw, batch)
+        rep.add(f"{self.prefix}.blend", ops=4 * n)
+        return hw

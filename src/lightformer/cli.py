@@ -64,17 +64,23 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
     dcfg = cfg.decoder_config()
     hw = (cfg["analyze.height"], cfg["analyze.width"])
-    report = eff.model_cost(dcfg, hw, batch=cfg["analyze.batch"])
-    rows = eff.report_channel_management(shapes)
+    batch = cfg["analyze.batch"]
+    try:
+        report = eff.model_cost(dcfg, hw, batch=batch)
+    except ValueError as exc:
+        raise ConfigError(f"analyze.height={hw[0]}, analyze.width={hw[1]}, "
+                          f"analyze.batch={batch}: {exc}") from exc
+    rows = []
+    for shape in shapes:
+        try:
+            rows += eff.report_channel_management((shape,))
+        except ValueError as exc:
+            raise ConfigError(f"--shape {','.join(map(str, shape))}: {exc}") from exc
 
     _write(os.path.join(out_dir, "cost_report.txt"), report.as_text() + "\n")
     _write(os.path.join(out_dir, "cost_report.csv"), report.as_csv() + "\n")
-    cm_lines = ["shape,params_base,params_split,param_reduction,macs_base,macs_split,mac_reduction"]
-    for r in rows:
-        shape = "x".join(str(v) for v in r.shape)
-        cm_lines.append(f"{shape},{r.params_base},{r.params_split},{r.param_reduction:.4f},"
-                        f"{r.macs_base},{r.macs_split},{r.mac_reduction:.4f}")
-    _write(os.path.join(out_dir, "channel_management.csv"), "\n".join(cm_lines) + "\n")
+    _write(os.path.join(out_dir, "channel_management.csv"),
+           eff.channel_management_csv(rows) + "\n")
     _write(os.path.join(out_dir, "channel_management.txt"),
            eff.format_channel_management(rows) + "\n")
 

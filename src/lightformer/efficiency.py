@@ -1,8 +1,10 @@
 """Static parameter and MAC/FLOP accounting for every layer and block.
 
-The cost functions mirror the constructors in ``blocks``/``network`` one
-for one, so the analytic parameter route can be cross-checked against the
-initialized store (the dual-route test). Conventions:
+The rows come from each block's own ``cost(rep, hw, batch)`` method (see
+``blocks``/``network``), which reads widths, kernels, groups, biases and
+strides from the layer it prices. The entry points here build an
+uninitialized model or refinement block and collect those rows; no
+forward runs. Conventions:
 
 * FLOPs = 2 x MACs, always; the headline comparisons are ratios, so the
   convention cancels. MACs count convolutions and the two attention
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import BlockConfig
-from .network import DecoderConfig
+from .blocks import LCRM, BlockConfig
+from .network import INPUT_MULTIPLE, DecoderConfig, Model
+from .params import ParamStore
 
 
 @dataclass(frozen=True)
@@ -83,209 +86,23 @@ class CostReport:
         return "\n".join(lines)
 
 
-def _pair(v):
-    return (v, v) if isinstance(v, int) else tuple(v)
-
-
-def conv_cost(name: str, in_ch: int, out_ch: int, kernel, out_hw, batch: int,
-              groups: int = 1, bias: bool = True) -> CostRow:
-    kh, kw = _pair(kernel)
-    h, w = out_hw
-    weight = kh * kw * (in_ch // groups) * out_ch
-    macs = weight * h * w * batch
-    params = weight + (out_ch if bias else 0)
-    ops = out_ch * h * w * batch if bias else 0
-    return CostRow(name, params, macs, ops)
-
-
-def norm_cost(name: str, channels: int, hw, batch: int, norm: str) -> CostRow:
-    if norm == "none":
-        return CostRow(name, 0, 0, 0)
-    h, w = hw
-    return CostRow(name, 2 * channels, 0, batch * channels * h * w)
-
-
-def act_cost(name: str, channels: int, hw, batch: int) -> CostRow:
-    h, w = hw
-    return CostRow(name, 0, 0, batch * channels * h * w)
-
-
-def conv_norm_act_cost(name: str, in_ch: int, out_ch: int, kernel, out_hw,
-                       batch: int, cfg: BlockConfig, groups: int = 1) -> CostReport:
+def block_cost(block, hw, batch: int = 1) -> CostReport:
+    """The rows ``block.cost`` adds for one forward at ``hw`` and ``batch``."""
     rep = CostReport()
-    rep.rows.append(conv_cost(f"{name}.conv", in_ch, out_ch, kernel, out_hw, batch,
-                              groups=groups, bias=cfg.norm == "none"))
-    rep.rows.append(norm_cost(f"{name}.norm", out_ch, out_hw, batch, cfg.norm))
-    rep.rows.append(act_cost(f"{name}.act", out_ch, out_hw, batch))
-    return rep
-
-
-def eca_cost(name: str, channels: int, hw, batch: int, kernel: int) -> CostReport:
-    h, w = hw
-    rep = CostReport()
-    rep.add(f"{name}.pool", ops=batch * channels)
-    rep.rows.append(conv_cost(f"{name}.conv", 1, 1, (1, kernel), (1, channels), batch, bias=False))
-    rep.add(f"{name}.gate", ops=batch * channels * (1 + h * w))
-    return rep
-
-
-def window_attention_cost(name: str, channels: int, window: int, heads: int,
-                          hw, batch: int) -> CostReport:
-    h, w = hw
-    hp = -(-h // window) * window
-    wp = -(-w // window) * window
-    rep = CostReport()
-    rep.rows.append(conv_cost(f"{name}.qkv", channels, 3 * channels, 1, (hp, wp), batch, bias=False))
-    # Q K^T and probs x V: each ws^2 x d by d x ws^2 (or transposed) per
-    # window per head; both collapse to window^2 * channels per pixel.
-    rep.add(f"{name}.matmul", macs=2 * window * window * channels * hp * wp * batch)
-    rep.add(f"{name}.softmax", ops=batch * heads * hp * wp * window * window)
-    # Two axis pools, two nearest upsamplings, and their sum.
-    rep.add(f"{name}.axis_pool", ops=batch * channels * (hp * wp // window) * 2
-            + batch * channels * hp * wp * 3)
-    return rep
-
-
-def global_branch_cost(name: str, channels: int, hw, batch: int, cfg: BlockConfig) -> CostReport:
-    rep = CostReport()
-    rep.rows.append(norm_cost(f"{name}.norm1", channels, hw, batch, cfg.norm))
-    rep.extend(window_attention_cost(f"{name}.attn", channels, cfg.window_size, cfg.heads, hw, batch))
-    rep.rows.append(conv_cost(f"{name}.proj", channels, channels, 1, hw, batch))
-    rep.add(f"{name}.residual1", ops=batch * channels * hw[0] * hw[1])
-    rep.rows.append(norm_cost(f"{name}.norm2", channels, hw, batch, cfg.norm))
-    hidden = cfg.ffn_ratio * channels
-    rep.rows.append(conv_cost(f"{name}.fc1", channels, hidden, 1, hw, batch))
-    rep.rows.append(act_cost(f"{name}.ffn_act", hidden, hw, batch))
-    rep.rows.append(conv_cost(f"{name}.fc2", hidden, channels, 1, hw, batch))
-    rep.add(f"{name}.residual2", ops=batch * channels * hw[0] * hw[1])
-    return rep
-
-
-def local_branch_cost(name: str, channels: int, hw, batch: int, cfg: BlockConfig) -> CostReport:
-    rep = CostReport()
-    rep.extend(conv_norm_act_cost(f"{name}.refine", channels, channels, 1, hw, batch, cfg))
-    rep.rows.append(conv_cost(f"{name}.spread.conv", channels, channels, 3, hw, batch,
-                              groups=channels, bias=False))
-    rep.rows.append(norm_cost(f"{name}.spread.norm", channels, hw, batch, cfg.norm))
-    rep.extend(conv_norm_act_cost(f"{name}.post", channels, channels, 1, hw, batch, cfg))
-    rep.rows.append(conv_cost(f"{name}.gate_in", channels, channels, 1, hw, batch))
-    rep.rows.append(conv_cost(f"{name}.gate_out", channels, channels, 1, hw, batch))
-    rep.add(f"{name}.gate_mul", ops=batch * channels * hw[0] * hw[1])
-    return rep
-
-
-def lcrm_cost(name: str, cfg: BlockConfig, hw, batch: int,
-              channel_split: bool = True) -> CostReport:
-    c = cfg.channels
-    width = c // 2 if channel_split else c
-    rep = CostReport()
-    rep.extend(global_branch_cost(f"{name}.global", width, hw, batch, cfg))
-    rep.extend(local_branch_cost(f"{name}.local", width, hw, batch, cfg))
-    rep.extend(conv_norm_act_cost(f"{name}.fuse", 3 * width, c, 1, hw, batch, cfg))
-    rep.add(f"{name}.shuffle", ops=batch * c * hw[0] * hw[1])
-    rep.extend(eca_cost(f"{name}.eca", c, hw, batch, cfg.eca_kernel))
-    return rep
-
-
-def cffm_cost(name: str, cfg: BlockConfig, in_channels: int, deep_hw,
-              batch: int) -> CostReport:
-    c = cfg.channels
-    out_hw = (2 * deep_hw[0], 2 * deep_hw[1])
-    n_out = batch * c * out_hw[0] * out_hw[1]
-    rep = CostReport()
-    rep.add(f"{name}.upsample", ops=n_out)
-    rep.extend(conv_norm_act_cost(f"{name}.proj", in_channels, c, 1, out_hw, batch, cfg))
-    rep.add(f"{name}.gate.alpha", params=1)
-    rep.add(f"{name}.gate.beta", params=1)
-    rep.add(f"{name}.gated_sum", ops=3 * n_out)
-    rep.rows.append(conv_cost(f"{name}.fuse.dw", c, c, 3, out_hw, batch, groups=c, bias=False))
-    rep.rows.append(norm_cost(f"{name}.fuse.dwnorm", c, out_hw, batch, cfg.norm))
-    rep.extend(conv_norm_act_cost(f"{name}.fuse.pw", c, c, 1, out_hw, batch, cfg))
-    rep.extend(eca_cost(f"{name}.eca", c, out_hw, batch, cfg.eca_kernel))
-    return rep
-
-
-def sism_cost(name: str, cfg: BlockConfig, hw, batch: int) -> CostReport:
-    c = cfg.channels
-    k_mid, k_long, k_attn, k_detail = cfg.sism_kernels
-    n = batch * c * hw[0] * hw[1]
-    n_pix = batch * hw[0] * hw[1]
-    rep = CostReport()
-    rep.rows.append(conv_cost(f"{name}.mid.dw", c, c, k_mid, hw, batch, groups=c))
-    rep.rows.append(conv_cost(f"{name}.mid.pw", c, c, 1, hw, batch))
-    rep.rows.append(conv_cost(f"{name}.long.dw", c, c, k_long, hw, batch, groups=c))
-    rep.rows.append(conv_cost(f"{name}.long.pw", c, c, 1, hw, batch))
-    rep.rows.append(conv_cost(f"{name}.mix.mid", c, c, 1, hw, batch))
-    rep.rows.append(conv_cost(f"{name}.mix.long", c, c, 1, hw, batch))
-    rep.add(f"{name}.stats", ops=2 * n_pix)
-    rep.rows.append(conv_cost(f"{name}.stat", 2, 2, k_attn, hw, batch))
-    rep.add(f"{name}.stage_gate", ops=2 * n_pix + 2 * n)
-    rep.rows.append(conv_cost(f"{name}.attn", c, 1, 1, hw, batch))
-    rep.add(f"{name}.attn_gate", ops=n_pix + n)
-    rep.rows.append(conv_cost(f"{name}.detail.dw", c, c, k_detail, hw, batch, groups=c))
-    rep.add(f"{name}.gates.alpha", params=1)
-    rep.add(f"{name}.gates.beta", params=1)
-    rep.add(f"{name}.blend", ops=4 * n)
-    return rep
-
-
-def _stage_hw(input_hw, stride: int) -> tuple:
-    return (input_hw[0] // stride, input_hw[1] // stride)
-
-
-def encoder_cost(cfg: DecoderConfig, input_hw, batch: int = 1) -> CostReport:
-    bc = cfg.block
-    rep = CostReport()
-    c_in = 3
-    stride = 1
-    for i, c_out in enumerate(cfg.encoder_channels):
-        stride *= 2
-        rep.extend(conv_norm_act_cost(f"encoder.stage{i + 1}.conv1", c_in, c_out, 3,
-                                      _stage_hw(input_hw, stride), batch, bc))
-        if i == 0:
-            stride *= 2
-        rep.extend(conv_norm_act_cost(f"encoder.stage{i + 1}.conv2", c_out, c_out, 3,
-                                      _stage_hw(input_hw, stride), batch, bc))
-        c_in = c_out
-    return rep
-
-
-def decoder_cost(cfg: DecoderConfig, input_hw, batch: int = 1) -> CostReport:
-    """Mirror of ``network.Decoder`` at the given input resolution.
-
-    MAC columns reflect the training forward, so the auxiliary heads are
-    included whenever the config enables them.
-    """
-    bc = cfg.block
-    d = cfg.decode_channels
-    k = cfg.num_classes
-    enc = cfg.encoder_channels
-    s4, s8, s16, s32 = (_stage_hw(input_hw, s) for s in (4, 8, 16, 32))
-    rep = CostReport()
-    rep.extend(conv_norm_act_cost("decoder.proj", enc[3], d, 1, s32, batch, bc))
-    rep.extend(lcrm_cost("decoder.lcrm1", bc, s32, batch))
-    rep.extend(cffm_cost("decoder.cffm1", bc, enc[2], s32, batch))
-    rep.extend(lcrm_cost("decoder.lcrm2", bc, s16, batch))
-    rep.extend(cffm_cost("decoder.cffm2", bc, enc[1], s16, batch))
-    rep.extend(lcrm_cost("decoder.lcrm3", bc, s8, batch))
-    rep.extend(cffm_cost("decoder.cffm3", bc, enc[0], s8, batch))
-    rep.extend(sism_cost("decoder.sism", bc, s4, batch))
-    rep.rows.append(conv_cost("decoder.head", d, k, 1, s4, batch))
-    rep.add("decoder.upsample", ops=batch * k * input_hw[0] * input_hw[1])
-    if cfg.aux_heads:
-        for i, hw in enumerate((s32, s16, s8)):
-            rep.rows.append(conv_cost(f"decoder.aux{i + 1}", d, k, 1, hw, batch))
-            rep.add(f"decoder.aux{i + 1}.upsample", ops=batch * k * input_hw[0] * input_hw[1])
+    block.cost(rep, hw, batch)
     return rep
 
 
 def model_cost(cfg: DecoderConfig, input_hw, batch: int = 1) -> CostReport:
-    if input_hw[0] % 32 or input_hw[1] % 32:
-        raise ValueError(f"input height and width must be divisible by 32, got {input_hw}")
-    rep = CostReport()
-    rep.extend(encoder_cost(cfg, input_hw, batch))
-    rep.extend(decoder_cost(cfg, input_hw, batch))
-    return rep
+    """Rows of one training forward of the full model, from an uninitialized
+    ``Model``; the MAC columns include the auxiliary heads when enabled."""
+    h, w = input_hw
+    if h < 1 or w < 1 or batch < 1:
+        raise ValueError(f"input sides and batch must be positive, got {input_hw} at batch {batch}")
+    if h % INPUT_MULTIPLE or w % INPUT_MULTIPLE:
+        raise ValueError(f"input height and width must be divisible by {INPUT_MULTIPLE}, "
+                         f"got {input_hw}")
+    return block_cost(Model(cfg, ParamStore()), input_hw, batch)
 
 
 def count_params(cfg: DecoderConfig) -> int:
@@ -329,8 +146,8 @@ def report_channel_management(shapes=TABLE_SHAPES) -> list:
     rows = []
     for b, c, h, w in shapes:
         cfg = BlockConfig(channels=c)
-        split = lcrm_cost("lcrm", cfg, (h, w), b, channel_split=True)
-        base = lcrm_cost("lcrm", cfg, (h, w), b, channel_split=False)
+        split = block_cost(LCRM(ParamStore(), "lcrm", cfg, channel_split=True), (h, w), b)
+        base = block_cost(LCRM(ParamStore(), "lcrm", cfg, channel_split=False), (h, w), b)
         rows.append(ChannelManagementRow(
             shape=(b, c, h, w),
             params_base=base.params, params_split=split.params,
@@ -348,4 +165,13 @@ def format_channel_management(rows) -> str:
         lines.append(f"{shape:<20}{r.params_base:>12}{r.params_split:>12}"
                      f"{r.param_reduction:>8.1%}"
                      f"{r.macs_base:>16}{r.macs_split:>16}{r.mac_reduction:>8.1%}")
+    return "\n".join(lines)
+
+
+def channel_management_csv(rows) -> str:
+    lines = ["shape,params_base,params_split,param_reduction,macs_base,macs_split,mac_reduction"]
+    for r in rows:
+        shape = "x".join(str(v) for v in r.shape)
+        lines.append(f"{shape},{r.params_base},{r.params_split},{r.param_reduction:.4f},"
+                     f"{r.macs_base},{r.macs_split},{r.mac_reduction:.4f}")
     return "\n".join(lines)

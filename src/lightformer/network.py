@@ -79,6 +79,11 @@ class StubEncoder:
             feats.append(x)
         return feats
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        for first, second in self.stages:
+            hw = second.cost(rep, first.cost(rep, hw, batch), batch)
+        return hw
+
 
 class Decoder:
     def __init__(self, store: ParamStore, prefix: str, cfg: DecoderConfig):
@@ -87,6 +92,7 @@ class Decoder:
         k = cfg.num_classes
         enc = cfg.encoder_channels
         self.cfg = cfg
+        self.prefix = prefix
         self.proj = ConvNormAct(store, f"{prefix}.proj", enc[3], d, 1,
                                 norm=bc.norm, activation=bc.activation)
         self.lcrm1 = LCRM(store, f"{prefix}.lcrm1", bc)
@@ -130,6 +136,25 @@ class Decoder:
                           for head, tap in zip(self.aux, taps)]
         return logits, aux_logits
 
+    def cost(self, rep, hw, batch: int) -> tuple:
+        """Rows of one training forward whose logits come out at ``hw``, so
+        the auxiliary heads count whenever the config enables them; the
+        deepest feature map is ``hw / INPUT_MULTIPLE``."""
+        logits = batch * self.cfg.num_classes * hw[0] * hw[1]
+        z = self.proj.cost(rep, (hw[0] // INPUT_MULTIPLE, hw[1] // INPUT_MULTIPLE), batch)
+        taps = []
+        for lcrm, cffm in ((self.lcrm1, self.cffm1), (self.lcrm2, self.cffm2),
+                           (self.lcrm3, self.cffm3)):
+            z = lcrm.cost(rep, z, batch)
+            taps.append(z)
+            z = cffm.cost(rep, z, batch)
+        self.head.cost(rep, self.sism.cost(rep, z, batch), batch)
+        rep.add(f"{self.prefix}.upsample", ops=logits)
+        for head, tap in zip(self.aux, taps):
+            head.cost(rep, tap, batch)
+            rep.add(f"{head.prefix}.upsample", ops=logits)
+        return hw
+
 
 class Model:
     """Stub encoder + decoder over one shared ParamStore."""
@@ -149,6 +174,10 @@ class Model:
                              f"got {h}x{w}")
         feats = self.encoder.forward(image, train)
         return self.decoder.forward(feats, (h, w), train)
+
+    def cost(self, rep, hw, batch: int) -> tuple:
+        self.encoder.cost(rep, hw, batch)
+        return self.decoder.cost(rep, hw, batch)
 
 
 def build_model(cfg: DecoderConfig, seed: int, dtype=np.float32) -> Model:

@@ -15,8 +15,8 @@ import pytest
 from lightformer import cli, config, efficiency as eff, gradcheck
 from lightformer import network as net
 from lightformer import training as tr
-from lightformer.blocks import (SISM, BlockConfig, GateWeights, WindowAttention,
-                                channel_shuffle, capture)
+from lightformer.blocks import (SISM, BlockConfig, GateWeights, LocalBranch,
+                                WindowAttention, channel_shuffle, capture)
 from lightformer.params import ParamStore
 from lightformer.rng import stream
 from lightformer.tensor import Tensor
@@ -60,10 +60,13 @@ def test_criterion_03_scaling_laws():
         ratios.append(ratio)
     cfg = BlockConfig(channels=64)
     toy = net.DecoderConfig(num_classes=3)
+    encoder = net.StubEncoder(ParamStore(), "encoder", toy)
+    sism = SISM(ParamStore(), "s", cfg)
+    local = LocalBranch(ParamStore(), "l", 32, cfg)
     for build in (
-        lambda hw: eff.encoder_cost(toy, hw),
-        lambda hw: eff.sism_cost("s", cfg, hw, 2),
-        lambda hw: eff.local_branch_cost("l", 32, hw, 2, cfg),
+        lambda hw: eff.block_cost(encoder, hw),
+        lambda hw: eff.block_cost(sism, hw, 2),
+        lambda hw: eff.block_cost(local, hw, 2),
     ):
         assert build((128, 128)).macs == 4 * build((64, 64)).macs
     _report(3, f"params(2C)/params(C) = {ratios[0]:.3f}, {ratios[1]:.3f} in [3.6, 4.0]; "
@@ -214,7 +217,8 @@ def test_criterion_10_structural_contract():
         assert all(a.shape == logits.shape for a in aux)
 
     table = net.DecoderConfig(num_classes=7, encoder_channels=(64, 128, 256, 512))
-    decoder_params = eff.decoder_cost(table, (64, 64)).params
+    decoder = net.Decoder(ParamStore(), "decoder", table)
+    decoder_params = eff.block_cost(decoder, (64, 64)).params
     assert decoder_params == 171_549  # frozen
     deviation = decoder_params / 235_000.0 - 1.0
     # Documented deviation: the reference total depends on width/window/head

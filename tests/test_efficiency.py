@@ -1,12 +1,23 @@
-"""Analytic cost model: agreement with the live parameter store, additivity,
-scaling behavior, and the frozen split-vs-full-width comparison."""
+"""Analytic cost model: agreement with the live parameter store and with
+the MACs a forward executes, additivity, scaling behavior, and the frozen
+split-vs-full-width comparison."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from lightformer import efficiency as eff
 from lightformer import network as net
-from lightformer.blocks import BlockConfig
+from lightformer import ops
+from lightformer.blocks import LCRM, SISM, BlockConfig, LocalBranch
+from lightformer.params import ParamStore
+from lightformer.rng import stream
+from lightformer.tensor import Tensor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TOY = net.DecoderConfig(num_classes=3, encoder_channels=(24, 48, 96, 192),
                         decode_channels=32,
@@ -15,8 +26,8 @@ DEFAULT6 = net.DecoderConfig(num_classes=6)
 
 
 class TestDualRoute:
-    """The analytic count and the initialized store must agree exactly; they
-    are written against the same contract through different arithmetic."""
+    """The cost rows cover every trainable tensor exactly once: their
+    parameter total equals the initialized store's, in total and per row."""
 
     @pytest.mark.parametrize("cfg, frozen", [
         (TOY, 702_565),
@@ -41,6 +52,19 @@ class TestDualRoute:
             live = sum(t.data.size for _, t in store.trainable())
             assert eff.count_params(cfg) == live
 
+    def test_each_row_matches_its_store_entries(self):
+        for cfg in (TOY, DEFAULT6, net.DecoderConfig(num_classes=6, aux_heads=False),
+                    net.DecoderConfig(num_classes=6, block=BlockConfig(norm="none"))):
+            rows = eff.model_cost(cfg, (64, 64)).rows
+            names = [r.name for r in rows]
+            assert len(set(names)) == len(names)
+            covered = dict.fromkeys(names, 0)
+            for entry, t in net.init_params(cfg, seed=0).trainable():
+                owners = [n for n in names if entry == n or entry.startswith(n + ".")]
+                assert len(owners) == 1, (entry, owners)
+                covered[owners[0]] += t.size
+            assert covered == {r.name: r.params for r in rows}
+
     def test_params_ignore_resolution_and_batch(self):
         assert eff.model_cost(TOY, (64, 64), 1).params == \
             eff.model_cost(TOY, (256, 192), 8).params
@@ -56,19 +80,21 @@ class TestAdditivity:
 
     def test_lcrm_equals_its_pieces(self):
         cfg = BlockConfig(channels=64)
-        whole = eff.lcrm_cost("m", cfg, (16, 16), 2)
+        lcrm = LCRM(ParamStore(), "m", cfg)
+        whole = eff.block_cost(lcrm, (16, 16), 2)
         parts = eff.CostReport()
-        parts.extend(eff.global_branch_cost("m.global", 32, (16, 16), 2, cfg))
-        parts.extend(eff.local_branch_cost("m.local", 32, (16, 16), 2, cfg))
-        parts.extend(eff.conv_norm_act_cost("m.fuse", 96, 64, 1, (16, 16), 2, cfg))
+        parts.extend(eff.block_cost(lcrm.global_branch, (16, 16), 2))
+        parts.extend(eff.block_cost(lcrm.local_branch, (16, 16), 2))
+        parts.extend(eff.block_cost(lcrm.fuse, (16, 16), 2))
         parts.add("m.shuffle", ops=2 * 64 * 16 * 16)
-        parts.extend(eff.eca_cost("m.eca", 64, (16, 16), 2, cfg.eca_kernel))
+        parts.extend(eff.block_cost(lcrm.eca, (16, 16), 2))
         assert whole.totals == parts.totals
         assert whole.ops == parts.ops
 
     def test_model_is_encoder_plus_decoder(self):
-        enc = eff.encoder_cost(TOY, (64, 64), 2)
-        dec = eff.decoder_cost(TOY, (64, 64), 2)
+        model = net.Model(TOY, ParamStore())
+        enc = eff.block_cost(model.encoder, (64, 64), 2)
+        dec = eff.block_cost(model.decoder, (64, 64), 2)
         whole = eff.model_cost(TOY, (64, 64), 2)
         assert whole.params == enc.params + dec.params
         assert whole.macs == enc.macs + dec.macs
@@ -101,10 +127,13 @@ class TestScaling:
         and the channel-gate conv runs on pooled vectors, so neither follows
         the area."""
         cfg = TOY.block
+        encoder = net.StubEncoder(ParamStore(), "encoder", TOY)
+        sism = SISM(ParamStore(), "s", cfg)
+        local = LocalBranch(ParamStore(), "l", 16, cfg)
         for build in (
-            lambda hw: eff.encoder_cost(TOY, hw),
-            lambda hw: eff.sism_cost("s", cfg, hw, 4),
-            lambda hw: eff.local_branch_cost("l", 16, hw, 4, cfg),
+            lambda hw: eff.block_cost(encoder, hw),
+            lambda hw: eff.block_cost(sism, hw, 4),
+            lambda hw: eff.block_cost(local, hw, 4),
         ):
             assert build((128, 128)).macs == 4 * build((64, 64)).macs
 
@@ -128,6 +157,50 @@ class TestScaling:
     def test_resolution_must_divide_32(self):
         with pytest.raises(ValueError, match="32"):
             eff.model_cost(TOY, (48, 64))
+
+    @pytest.mark.parametrize("hw, batch", [((-32, 64), 1), ((64, 0), 1), ((64, 64), 0)])
+    def test_sides_and_batch_must_be_positive(self, hw, batch):
+        with pytest.raises(ValueError, match="positive"):
+            eff.model_cost(TOY, hw, batch)
+
+
+def _count_executed_macs(monkeypatch) -> list:
+    """Wrap ``ops.conv2d`` and ``ops.matmul`` to tally the MACs they run."""
+    count = [0]
+    conv2d, matmul = ops.conv2d, ops.matmul
+
+    def counted_conv2d(x, weight, *args, **kwargs):
+        y = conv2d(x, weight, *args, **kwargs)
+        b, cout, ho, wo = y.shape
+        _, cin_g, kh, kw = weight.shape
+        count[0] += b * cout * ho * wo * cin_g * kh * kw
+        return y
+
+    def counted_matmul(a, b):
+        count[0] += int(np.prod(a.shape[:-1])) * a.shape[-1] * b.shape[-1]
+        return matmul(a, b)
+
+    monkeypatch.setattr(ops, "conv2d", counted_conv2d)
+    monkeypatch.setattr(ops, "matmul", counted_matmul)
+    return count
+
+
+class TestExecutedMacs:
+    """The MAC column equals what a training forward runs through conv2d
+    and matmul, including windows padded at sides the window does not divide."""
+
+    @pytest.mark.parametrize("cfg", [
+        TOY,
+        net.DecoderConfig(num_classes=4, encoder_channels=(8, 16, 16, 24), decode_channels=12,
+                          block=BlockConfig(channels=12, window_size=3, heads=2, norm="group")),
+    ], ids=["toy", "group_window3"])
+    @pytest.mark.parametrize("batch, hw", [(2, (64, 64)), (1, (64, 96))])
+    def test_forward_runs_the_reported_macs(self, monkeypatch, cfg, batch, hw):
+        model = net.build_model(cfg, seed=0)
+        image = Tensor(stream(5, "macs").standard_normal((batch, 3, *hw)).astype(np.float32))
+        count = _count_executed_macs(monkeypatch)
+        model.forward(image, train=True)
+        assert count[0] == eff.model_cost(cfg, hw, batch).macs
 
 
 class TestChannelManagement:
@@ -176,7 +249,7 @@ class TestRendering:
             assert int(f) == 2 * int(m)
 
     def test_text_report_carries_every_row(self):
-        rep = eff.decoder_cost(TOY, (64, 64))
+        rep = eff.block_cost(net.Decoder(ParamStore(), "decoder", TOY), (64, 64))
         text = rep.as_text()
         for row in rep.rows:
             assert row.name in text
@@ -189,3 +262,13 @@ class TestRendering:
     @staticmethod
     def rows():
         return eff.report_channel_management()
+
+
+def test_cost_analysis_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    result = subprocess.run([sys.executable, os.path.join(ROOT, "demos", "cost_analysis.py")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "params(2C)/params(C)" in result.stdout

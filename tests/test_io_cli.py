@@ -269,6 +269,21 @@ class TestCliAnalyze:
         assert run_cli("analyze", "--out", str(tmp_path / "o"),
                        "--set", "model.nope=1") == 2
 
+    @pytest.mark.parametrize("args, named", [
+        (("--set", "analyze.height=-32"), "analyze.height=-32"),
+        (("--set", "analyze.batch=0"), "analyze.batch=0"),
+        (("--set", "analyze.height=48"), "analyze.height=48"),
+        (("--shape", "1,6,32,32"), "--shape 1,6,32,32"),
+    ], ids=["negative_height", "zero_batch", "height_not_multiple_of_32",
+            "heads_do_not_divide_half_width"])
+    def test_bad_size_is_usage_error(self, tmp_path, capsys, args, named):
+        out = tmp_path / "o"
+        assert run_cli("analyze", "--out", str(out), *args) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "MACs" not in captured.out
+        assert not (out / "cost_report.txt").exists()
+
 
 TINY = (
     "--set", "data.train_count=6",
