@@ -1,6 +1,6 @@
 """Lightweight window-attention segmentation decoder on a numpy autodiff core."""
 
-from .tensor import Grads, ShapeError, Tape, TapeError, Tensor, full, ones, zeros
+from .tensor import ShapeError, Tape, TapeError, Tensor, full, ones, zeros
 from . import ops
 from .blocks import (
     CFFM,
@@ -54,7 +54,6 @@ __all__ = [
     "Decoder",
     "DecoderConfig",
     "DivergenceError",
-    "Grads",
     "LCRM",
     "LossBundle",
     "Metrics",

@@ -35,6 +35,7 @@ _CONFIG_NAMES = {"infer": "infer.ini", "dump-attn": "dump-attn.ini"}
 
 
 def _prepare_out(cfg: RunConfig, args) -> str:
+    """Create the output directory and echo the config; call once the run is validated."""
     out_dir = args.out if args.out else cfg["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, _CONFIG_NAMES.get(args.command, "config.ini")), cfg.to_text())
@@ -48,7 +49,6 @@ def _standardize_u8(image_u8: np.ndarray, cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
-    out_dir = _prepare_out(cfg, args)
     shapes = eff.TABLE_SHAPES
     if args.shape:
         parsed = []
@@ -77,6 +77,7 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--shape {','.join(map(str, shape))}: {exc}") from exc
 
+    out_dir = _prepare_out(cfg, args)
     _write(os.path.join(out_dir, "cost_report.txt"), report.as_text() + "\n")
     _write(os.path.join(out_dir, "cost_report.csv"), report.as_csv() + "\n")
     _write(os.path.join(out_dir, "channel_management.csv"),
@@ -219,16 +220,17 @@ def run_train_toy(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_train_toy(cfg: RunConfig, args) -> int:
     if args.epochs is not None:
         cfg.set("train.epochs", str(args.epochs))
+    cfg.decoder_config()  # a bad model config exits 2 before anything is written
     out_dir = _prepare_out(cfg, args)
     summary = run_train_toy(cfg, out_dir)
     print(f"done: {summary['epochs_run']} epochs, final val miou {summary['final_miou']:.4f}")
     return 0
 
 
-def _load_model(cfg: RunConfig, checkpoint: str):
+def _load_model(dcfg, seed: int, checkpoint: str):
     if not os.path.exists(checkpoint):
         raise FileNotFoundError(f"checkpoint not found: {checkpoint}")
-    model = build_model(cfg.decoder_config(), cfg.seed)
+    model = build_model(dcfg, seed)
     load_checkpoint(model.store, checkpoint)
     return model
 
@@ -238,9 +240,10 @@ def cmd_infer(cfg: RunConfig, args) -> int:
         cfg.set("infer.window", str(args.window))
     if args.stride is not None:
         cfg.set("infer.stride", str(args.stride))
+    dcfg = cfg.decoder_config()
     out_dir = _prepare_out(cfg, args)
     checkpoint = args.checkpoint or os.path.join(out_dir, "checkpoint.lftc")
-    model = _load_model(cfg, checkpoint)
+    model = _load_model(dcfg, cfg.seed, checkpoint)
     image = _standardize_u8(fileio.read_ppm(args.image), cfg)
     num_classes = cfg["model.num_classes"]
 
@@ -289,9 +292,10 @@ def _to_heat_pgm(path: str, unit_map: np.ndarray) -> None:
 
 
 def cmd_dump_attn(cfg: RunConfig, args) -> int:
+    dcfg = cfg.decoder_config()
     out_dir = _prepare_out(cfg, args)
     checkpoint = args.checkpoint or os.path.join(out_dir, "checkpoint.lftc")
-    model = _load_model(cfg, checkpoint)
+    model = _load_model(dcfg, cfg.seed, checkpoint)
     image = _standardize_u8(fileio.read_ppm(args.image), cfg)
     with capture() as maps:
         model.forward(Tensor(image[None]), train=False)
@@ -316,6 +320,12 @@ def cmd_dump_attn(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lightformer",
                                      description="Segmentation decoder toolkit")
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     common(p)
     p.add_argument("--op", help="only run cases whose name contains this substring")
-    p.add_argument("--instances", type=int, default=5, help="instances per case")
+    p.add_argument("--instances", type=_positive_int, default=5, help="instances per case")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="train on the synthetic three-class set")

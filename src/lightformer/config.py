@@ -17,8 +17,9 @@ import configparser
 import io
 
 from .blocks import BlockConfig
-from .network import DecoderConfig
+from .network import INPUT_MULTIPLE, DecoderConfig
 from .rng import resolve_seed
+from .synthetic import MIN_SIZE
 
 
 def _parse_bool(text: str) -> bool:
@@ -28,6 +29,17 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _int_from(low: int, multiple: int = 1):
+    """Parser for an integer of at least ``low`` that ``multiple`` divides."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or value % multiple:
+            step = f" and a multiple of {multiple}" if multiple > 1 else ""
+            raise ValueError(f"must be at least {low}{step}, got {value}")
+        return value
+    return parse
 
 
 def _parse_ints(text: str) -> tuple:
@@ -62,13 +74,13 @@ SCHEMA = {
     "model.activation": (str, "relu"),
     "model.ffn_ratio": (int, 4),
     "model.aux_heads": (_parse_bool, True),
-    "data.image_size": (int, 64),
-    "data.train_count": (int, 200),
-    "data.val_count": (int, 50),
+    "data.image_size": (_int_from(MIN_SIZE, INPUT_MULTIPLE), 64),
+    "data.train_count": (_int_from(1), 200),
+    "data.val_count": (_int_from(1), 50),
     "data.mean": (_parse_floats, (0.5, 0.5, 0.5)),
     "data.std": (_parse_floats, (0.25, 0.25, 0.25)),
-    "train.epochs": (int, 30),
-    "train.batch_size": (int, 8),
+    "train.epochs": (_int_from(0), 30),
+    "train.batch_size": (_int_from(1), 8),
     "train.encoder_lr": (float, 3e-3),
     "train.decoder_lr": (float, 9e-3),
     "train.lr_min": (float, 1e-4),
@@ -76,8 +88,8 @@ SCHEMA = {
     "train.aux_weight": (float, 0.4),
     "train.augment": (_parse_bool, True),
     "train.stop_miou": (float, 0.95),
-    "infer.window": (int, 1024),
-    "infer.stride": (int, 512),
+    "infer.window": (_int_from(1), 1024),
+    "infer.stride": (_int_from(1), 512),
     "infer.save_logits": (_parse_bool, False),
     "analyze.batch": (int, 4),
     "analyze.height": (int, 128),
@@ -108,8 +120,6 @@ class RunConfig:
         parser, _ = SCHEMA[key]
         try:
             self.values[key] = parser(text)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -150,8 +160,6 @@ class RunConfig:
                 block=self.block_config(),
                 aux_heads=self["model.aux_heads"],
             )
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

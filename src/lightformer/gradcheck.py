@@ -10,9 +10,10 @@ gradients and absolute near zero. Coordinates whose straddle window
 happens to contain a ReLU kink are re-probed at finer steps; see
 ``check_gradients``.
 
-``run_suite`` evaluates every primitive and composite case (at least five
-random small instances each, tensors no larger than 4x4x6x6) and is the
-engine behind the ``gradcheck`` CLI subcommand.
+A case is ``(name, fn, wrt, tol, max_coords)``, with ``max_coords`` None
+for primitive ops. ``run_suite`` evaluates every case (at least five random
+small instances each, tensors no larger than 4x4x6x6) and is the engine
+behind the ``gradcheck`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def op_cases(seed: int, instance: int):
     cases = []
 
     def case(name, fn, wrt, tol=PRIMITIVE_TOL):
-        cases.append((f"{name}#{instance}", fn, wrt, tol))
+        cases.append((f"{name}#{instance}", fn, wrt, tol, None))
 
     a = _randn(rng, (B, C, H, W))
     b = _randn(rng, (B, C, H, W))
@@ -321,9 +322,7 @@ def run_suite(op_filter: str | None = None, seed: int = 0, instances: int = 5, i
         if include_blocks:
             bundles.append(block_cases(seed, inst))
         for bundle in bundles:
-            for entry in bundle:
-                name, fn, wrt, tol = entry[0], entry[1], entry[2], entry[3]
-                max_coords = entry[4] if len(entry) > 4 else None
+            for name, fn, wrt, tol, max_coords in bundle:
                 if op_filter and op_filter not in name:
                     continue
                 results.append(

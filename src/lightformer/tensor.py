@@ -3,15 +3,16 @@
 A Tensor is a thin wrapper over a contiguous numpy array (float32 for
 compute, float64 for verification) of any rank. Operators in
 :mod:`lightformer.ops` push one node per call onto the innermost active
-Tape; ``Tape.backward`` replays the nodes in reverse, accumulating
-adjoints with ``+=`` at fan-in points in a fixed order, so gradients are
-deterministic and each node is visited exactly once.
+Tape; ``Tape.backward`` pops the nodes in reverse, summing adjoints at
+fan-in points in a fixed order, so gradients are deterministic. The sweep
+consumes the tape and keeps only the adjoints of leaves, the tensors no
+recorded op produced.
 
 Typical use::
 
     with Tape() as tape:
         loss = ...            # scalar Tensor built from ops
-    grads = tape.backward(loss)
+    grads = tape.backward(loss)   # {leaf: adjoint}; the tape is now empty
     g_w = grads[w]
 """
 
@@ -116,6 +117,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[TapeNode] = []
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -139,48 +141,29 @@ class Tape:
         """Append one node. ``backward`` maps d(out) to a grad per input (None allowed)."""
         self._nodes.append(TapeNode(op, tuple(inputs), output, backward))
 
-    def backward(self, loss: Tensor) -> "Grads":
-        """Reverse sweep from a scalar ``loss``; returns adjoints keyed by tensor."""
+    def backward(self, loss: Tensor) -> dict:
+        """Reverse sweep from a scalar ``loss``; consumes the tape, returns ``{leaf: adjoint}``."""
         if not isinstance(loss, Tensor):
             raise TapeError("backward expects the loss as a Tensor")
         if loss.size != 1:
             raise TapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for node in reversed(self._nodes):
-            g_out = grads.get(id(node.output))
+        if self._swept:
+            raise TapeError("backward already ran on this tape")
+        self._swept = True
+        grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+        while self._nodes:
+            node = self._nodes.pop()
+            # Every consumer of this output came later on the tape: its adjoint is complete.
+            g_out = grads.pop(node.output, None)
             if g_out is None:
                 continue
             if node.backward is None:
                 raise TapeError(f"op '{node.op}' has no adjoint registered")
-            g_inputs = node.backward(g_out)
-            for inp, g in zip(node.inputs, g_inputs):
+            for inp, g in zip(node.inputs, node.backward(g_out)):
                 if g is None or not inp.requires_grad:
                     continue
-                key = id(inp)
-                prev = grads.get(key)
+                prev = grads.get(inp)
                 # Reassign instead of in-place += : adjoints may be views into
                 # other stored buffers (reshape/permute backwards).
-                grads[key] = g if prev is None else prev + g
-        return Grads(grads, self._nodes, loss)
-
-
-class Grads:
-    """Adjoint lookup by tensor identity, as produced by ``Tape.backward``."""
-
-    def __init__(self, table: dict, nodes: list, loss: Tensor):
-        self._table = table
-        # Keep the graph tensors alive so id() keys cannot be recycled.
-        self._nodes = nodes
-        self._loss = loss
-
-    def __contains__(self, t: Tensor) -> bool:
-        return id(t) in self._table
-
-    def __getitem__(self, t: Tensor) -> np.ndarray:
-        try:
-            return self._table[id(t)]
-        except KeyError:
-            raise KeyError(f"no gradient recorded for {t!r}") from None
-
-    def get(self, t: Tensor, default=None):
-        return self._table.get(id(t), default)
+                grads[inp] = g if prev is None else prev + g
+        return grads

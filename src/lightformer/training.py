@@ -136,13 +136,13 @@ class AdamW:
         return self.lr_groups[best]
 
     def step(self, grads, lr_scale: float = 1.0) -> None:
-        """One update from a Grads lookup; missing gradients count as zero."""
+        """One update from ``{parameter: gradient}``; a missing gradient counts as zero."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for name, p in self.store.trainable():
-            g = grads.get(p) if grads is not None else None
+            g = grads.get(p)
             if g is None:
                 g = np.zeros_like(p.data)
             if not np.isfinite(g).all():

@@ -53,6 +53,29 @@ class TestTape:
         assert a in grads and b not in grads
         assert grads.get(b) is None
 
+    def test_backward_keeps_only_leaves_and_consumes_the_tape(self):
+        a = Tensor(np.array([2.0, 3.0]), dtype=np.float64, requires_grad=True)
+        with Tape() as tape:
+            y = ops.mul(a, a)
+            out = ops.sum_(y)
+        assert len(tape.nodes) == 2
+        grads = tape.backward(out)
+        assert list(grads) == [a] and y not in grads and out not in grads
+        np.testing.assert_array_equal(grads[a], [4.0, 6.0])
+        assert tape.nodes == ()
+        with pytest.raises(TapeError, match="already"):
+            tape.backward(out)
+
+    def test_equal_valued_tensors_are_distinct_keys(self):
+        a = Tensor(np.ones((2,), dtype=np.float64), requires_grad=True)
+        b = Tensor(np.ones((2,), dtype=np.float64), requires_grad=True)
+        with Tape() as tape:
+            out = ops.sum_(ops.add(ops.mul(a, 2.0), ops.mul(b, 3.0)))
+        grads = tape.backward(out)
+        assert len(grads) == 2
+        np.testing.assert_array_equal(grads[a], [2.0, 2.0])
+        np.testing.assert_array_equal(grads[b], [3.0, 3.0])
+
     def test_no_grad_inputs_produce_no_entries(self):
         a = Tensor(np.ones((2,), dtype=np.float64), requires_grad=True)
         c = Tensor(np.full((2,), 5.0, dtype=np.float64))

@@ -264,11 +264,25 @@ class TestRendering:
         return eff.report_channel_management()
 
 
-def test_cost_analysis_demo_runs():
+def _run_demo(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    result = subprocess.run([sys.executable, os.path.join(ROOT, "demos", "cost_analysis.py")],
+    result = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert "params(2C)/params(C)" in result.stdout
+    return result
+
+
+def test_cost_analysis_demo_runs():
+    assert "params(2C)/params(C)" in _run_demo("cost_analysis.py").stdout
+
+
+@pytest.mark.parametrize("name, claim", [
+    ("blocks_tour.py", "SISM at init is the identity: True"),
+    ("sliding_window.py", "window >= image reproduces direct inference: True"),
+])
+def test_fast_demo_claims_hold(name, claim):
+    lines = _run_demo(name).stdout.splitlines()
+    assert claim in lines
+    assert [line for line in lines if line.rstrip().endswith("False")] == []

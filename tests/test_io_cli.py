@@ -226,6 +226,26 @@ class TestRunConfig:
         with pytest.raises(config.ConfigError):
             cfg.decoder_config()
 
+    @pytest.mark.parametrize("key, value", [
+        ("train.batch_size", "0"), ("train.epochs", "-1"), ("data.image_size", "48"),
+        ("data.image_size", "32"), ("data.train_count", "0"), ("data.val_count", "0"),
+        ("infer.window", "0"), ("infer.stride", "-2"),
+    ])
+    def test_out_of_range_values_name_the_key(self, tmp_path, key, value):
+        with pytest.raises(config.ConfigError, match=key):
+            config.load(overrides=(f"{key}={value}",))
+        section, _, name = key.partition(".")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{name} = {value}\n")
+        with pytest.raises(config.ConfigError, match=key):
+            config.load(path)
+
+    def test_boundary_values_stay_valid(self):
+        cfg = config.load(overrides=("train.epochs=0", "train.stop_miou=2.0",
+                                     "data.image_size=96", "infer.window=1",
+                                     "infer.stride=1"))
+        assert cfg["train.epochs"] == 0 and cfg["train.stop_miou"] == 2.0
+
     def test_inline_comments(self):
         cfg = config.parse_text("[train]\nepochs = 4  # short run\n")
         assert cfg["train.epochs"] == 4
@@ -283,6 +303,7 @@ class TestCliAnalyze:
         assert named in captured.err
         assert "MACs" not in captured.out
         assert not (out / "cost_report.txt").exists()
+        assert not out.exists()
 
 
 TINY = (
@@ -296,6 +317,28 @@ TINY = (
     "--set", "model.heads=2",
     "--set", "train.stop_miou=1.1",
 )
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("train-toy", "--set", "train.batch_size=0"), "train.batch_size"),
+    (("train-toy", "--epochs", "-1"), "train.epochs"),
+    (("train-toy", "--set", "data.image_size=48"), "data.image_size"),
+    (("train-toy", "--set", "model.heads=3"), "heads"),
+    (("infer", "scene.ppm", "--window", "0"), "infer.window"),
+    (("infer", "scene.ppm", "--window", "-5"), "infer.window"),
+    (("infer", "scene.ppm", "--stride", "0"), "infer.stride"),
+    (("infer", "scene.ppm", "--set", "model.heads=3"), "heads"),
+    (("dump-attn", "scene.ppm", "--set", "model.heads=3"), "heads"),
+    (("gradcheck", "--instances", "0"), "--instances"),
+    (("gradcheck", "--instances", "-1"), "--instances"),
+], ids=["zero_batch", "negative_epochs", "image_size_48", "train_heads",
+        "zero_window", "negative_window", "zero_stride",
+        "infer_heads", "dump_attn_heads", "zero_instances", "negative_instances"])
+def test_bad_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, argv, named):
+    out = tmp_path / "o"
+    assert run_cli(argv[0], "--out", str(out), *TINY, *argv[1:]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCliTrainToy:

@@ -1,6 +1,8 @@
 """Losses, optimizer, schedule, metrics, and the data-path helpers."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,14 +137,6 @@ class TestTotalLoss:
             assert np.isfinite(total) and total >= 0.0
 
 
-class _FakeGrads:
-    def __init__(self, table):
-        self.table = table
-
-    def get(self, tensor):
-        return self.table.get(id(tensor))
-
-
 def _store_of(values):
     from lightformer.params import ParamStore
     store = ParamStore()
@@ -156,7 +150,7 @@ class TestAdamW:
     def test_zero_gradient_is_pure_decay(self):
         store = _store_of({"encoder.w": [1.0, -2.0], "decoder.w": [4.0]})
         opt = tr.AdamW(store, {"encoder": 0.1, "decoder": 0.2}, weight_decay=0.5)
-        opt.step(_FakeGrads({}))
+        opt.step({})
         np.testing.assert_array_equal(store["encoder.w"].data,
                                       np.array([1.0, -2.0]) * (1.0 - 0.1 * 0.5))
         np.testing.assert_array_equal(store["decoder.w"].data,
@@ -166,7 +160,7 @@ class TestAdamW:
         store = _store_of({"decoder.w": [0.0, 0.0, 0.0]})
         opt = tr.AdamW(store, {"decoder": 1e-2}, weight_decay=0.0)
         g = np.array([3.0, -0.5, 1e-12])
-        opt.step(_FakeGrads({id(store["decoder.w"]): g}))
+        opt.step({store["decoder.w"]: g})
         expected = -1e-2 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(store["decoder.w"].data, expected, rtol=1e-12)
 
@@ -186,16 +180,16 @@ class TestAdamW:
         opt = tr.AdamW(store, {"decoder": 0.1})
         bad = np.array([np.nan])
         with pytest.raises(tr.DivergenceError, match=r"decoder\.w.*step 1"):
-            opt.step(_FakeGrads({id(store["decoder.w"]): bad}))
+            opt.step({store["decoder.w"]: bad})
 
     def test_lr_scale_rescales_both_terms(self):
         a = _store_of({"decoder.w": [2.0]})
         b = _store_of({"decoder.w": [2.0]})
         g = np.array([1.0])
         tr.AdamW(a, {"decoder": 0.1}, weight_decay=0.2).step(
-            _FakeGrads({id(a["decoder.w"]): g}), lr_scale=0.5)
+            {a["decoder.w"]: g}, lr_scale=0.5)
         tr.AdamW(b, {"decoder": 0.05}, weight_decay=0.2).step(
-            _FakeGrads({id(b["decoder.w"]): g}))
+            {b["decoder.w"]: g})
         np.testing.assert_allclose(a["decoder.w"].data, b["decoder.w"].data, rtol=1e-15)
 
     def test_two_steps_track_reference_formulas(self):
@@ -205,7 +199,7 @@ class TestAdamW:
         theta = 0.5
         m = v = 0.0
         for t, g in enumerate(grads, start=1):
-            opt.step(_FakeGrads({id(store["decoder.w"]): g}))
+            opt.step({store["decoder.w"]: g})
             theta = theta * (1.0 - 0.01 * 0.1)
             m = 0.9 * m + 0.1 * g[0]
             v = 0.999 * v + 0.001 * g[0] ** 2
@@ -213,6 +207,38 @@ class TestAdamW:
             vh = v / (1.0 - 0.999 ** t)
             theta = theta - 0.01 * mh / (math.sqrt(vh) + 1e-8)
         assert abs(store["decoder.w"].data[0] - theta) < 1e-14
+
+
+def test_train_step_memory():
+    """One toy train step (B=8, 64x64) with its AdamW update. The sweep drops
+    each node's saved arrays as it passes, so the peak stays near the forward's
+    activations (about 45 MiB) instead of holding every node and adjoint until
+    the step ends (about 88 MiB)."""
+    from lightformer import config, network, synthetic
+
+    cfg = config.load()
+    samples = synthetic.make_dataset(cfg.seed, "train", cfg["train.batch_size"],
+                                     cfg["data.image_size"])
+    batch = Tensor(np.stack([tr.standardize(img.astype(np.float64), cfg["data.mean"],
+                                            cfg["data.std"]) for img, _ in samples]))
+    labels = np.stack([mask for _, mask in samples]).astype(np.int64)
+    assert batch.shape == (8, 3, 64, 64)
+    model = network.build_model(cfg.decoder_config(), cfg.seed)
+    opt = tr.AdamW(model.store, {"encoder": cfg["train.encoder_lr"],
+                                 "decoder": cfg["train.decoder_lr"]},
+                   weight_decay=cfg["train.weight_decay"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            logits, aux = model.forward(batch, train=True)
+            loss = tr.total_loss(logits, aux, labels, train=True,
+                                 aux_weight=cfg["train.aux_weight"]).total
+        opt.step(tape.backward(loss))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20, f"train step peak {peak / 2**20:.1f} MiB"
 
 
 class TestCosine:
