@@ -349,12 +349,15 @@ def capture():
 class WindowAttention:
     """Multi-head self-attention inside non-overlapping square windows,
     followed by the per-axis average pooling that smears each window's
-    response along its rows and columns.
+    response along its rows and columns: each output pixel is its window
+    row's mean plus its window column's mean.
 
-    The input is zero-padded at the bottom/right to a multiple of the window
-    size before the QKV projection and cropped back at the end, so window
-    contents never wrap. With window_size 1, one head, and an identity value
-    projection the whole op reduces to the input.
+    The forward partitions the QKV map once and stays in window layout until
+    one reshape puts the map back. The input is zero-padded at the
+    bottom/right to a multiple of the window size before the QKV projection
+    and cropped back at the end, so window contents never wrap. With
+    window_size 1, one head, and an identity value projection the output is
+    twice the input.
     """
 
     def __init__(self, store: ParamStore, prefix: str, channels: int,
@@ -366,23 +369,6 @@ class WindowAttention:
         self.window_size = window_size
         self.heads = heads
         self.qkv = Conv2d(store, f"{prefix}.qkv", channels, 3 * channels, 1, bias=False)
-
-    def _to_windows(self, t: Tensor, hh: int, ww: int) -> Tensor:
-        """(B, C, H, W) -> (B*hh*ww*heads, C/heads, ws*ws): the Swin window
-        partition, channel-major inside each window and head."""
-        b, c = t.shape[:2]
-        ws = self.window_size
-        y = ops.reshape(t, (b, c, hh, ws, ww, ws))
-        y = ops.permute(y, (0, 2, 4, 1, 3, 5))
-        return ops.reshape(y, (b * hh * ww * self.heads, c // self.heads, ws * ws))
-
-    def _from_windows(self, t: Tensor, b: int, hh: int, ww: int) -> Tensor:
-        """Inverse of ``_to_windows``."""
-        ws = self.window_size
-        c = self.channels
-        y = ops.reshape(t, (b, hh, ww, c, ws, ws))
-        y = ops.permute(y, (0, 3, 1, 4, 2, 5))
-        return ops.reshape(y, (b, c, hh * ws, ww * ws))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != self.channels:
@@ -396,13 +382,15 @@ class WindowAttention:
         hh, ww = hp // ws, wp // ws
         d = c // self.heads
 
-        qkv = self.qkv.forward(xp)
-        q, k, v = ops.split(qkv, (c, c, c), axis=1)
-        qw = ops.permute(self._to_windows(q, hh, ww), (0, 2, 1))
-        kt = self._to_windows(k, hh, ww)  # already K transposed per window
-        vw = ops.permute(self._to_windows(v, hh, ww), (0, 2, 1))
+        n = b * hh * ww * self.heads
+        # One Swin partition of the QKV map to (3, B, hh, ww, heads, d, ws, ws):
+        # channel-major per window and head, which is K transposed as the
+        # score matmul needs it; Q and V get one permute each.
+        qkv = ops.reshape(self.qkv.forward(xp), (b, 3, self.heads, d, hh, ws, ww, ws))
+        qkv = ops.permute(qkv, (1, 0, 4, 6, 2, 3, 5, 7))
+        q, kt, v = (ops.reshape(t, (n, d, ws * ws)) for t in ops.split(qkv, (1, 1, 1), axis=0))
 
-        scores = ops.mul(ops.matmul(qw, kt), 1.0 / math.sqrt(d))
+        scores = ops.mul(ops.matmul(ops.permute(q, (0, 2, 1)), kt), 1.0 / math.sqrt(d))
         probs = ops.softmax(scores, axis=-1)
         maps = active_capture()
         if maps is not None:
@@ -412,12 +400,13 @@ class WindowAttention:
                 "heads": self.heads, "window": ws,
                 "height": h, "width": w,
             }
-        attended = ops.matmul(probs, vw)
-        amap = self._from_windows(ops.permute(attended, (0, 2, 1)), b, hh, ww)
-
-        rows = ops.nearest_upsample(ops.pool2d(amap, "avg", (ws, 1)), (ws, 1))
-        cols = ops.nearest_upsample(ops.pool2d(amap, "avg", (1, ws)), (1, ws))
-        out = ops.add(rows, cols)
+        attended = ops.matmul(probs, ops.permute(v, (0, 2, 1)))
+        # (B, heads, d, hh, ws, ww, ws): axis 4 runs down a window's rows,
+        # axis 6 along its columns.
+        a = ops.permute(ops.reshape(attended, (b, hh, ww, self.heads, ws, ws, d)),
+                        (0, 3, 6, 1, 4, 2, 5))
+        out = ops.add(ops.mean(a, axes=4, keepdims=True), ops.mean(a, axes=6, keepdims=True))
+        out = ops.reshape(out, (b, c, hp, wp))
         if pad_b or pad_r:
             out = ops.crop2d(out, 0, 0, h, w)
         return out
@@ -431,7 +420,8 @@ class WindowAttention:
         # window per head; both collapse to window^2 * channels per pixel.
         rep.add(f"{self.prefix}.matmul", macs=2 * ws * ws * c * hp * wp * batch)
         rep.add(f"{self.prefix}.softmax", ops=batch * self.heads * hp * wp * ws * ws)
-        # Two axis pools, two nearest upsamplings, and their sum.
+        # Two axis means per window, each broadcast back over the window
+        # (priced as a nearest upsampling), and their sum.
         rep.add(f"{self.prefix}.axis_pool",
                 ops=batch * c * (hp * wp // ws) * 2 + batch * c * hp * wp * 3)
         return hw

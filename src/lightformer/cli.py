@@ -92,18 +92,17 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
-    out_dir = _prepare_out(cfg, args)
     results = gradcheck.run_suite(op_filter=args.op, seed=cfg.seed,
                                   instances=args.instances)
+    if args.op and not results:
+        raise ConfigError(f"no case matches --op {args.op!r}")
+    out_dir = _prepare_out(cfg, args)
     lines = [str(r) for r in results]
     _write(os.path.join(out_dir, "gradcheck.txt"), "\n".join(lines) + "\n")
     failures = [r for r in results if not r.ok]
     for r in failures:
         print(str(r), file=sys.stderr)
     print(f"{len(results) - len(failures)}/{len(results)} gradient checks passed")
-    if args.op and not results:
-        print(f"no case matches --op {args.op!r}", file=sys.stderr)
-        return 2
     return 1 if failures else 0
 
 
@@ -241,10 +240,16 @@ def cmd_infer(cfg: RunConfig, args) -> int:
     if args.stride is not None:
         cfg.set("infer.stride", str(args.stride))
     dcfg = cfg.decoder_config()
+    image = _standardize_u8(fileio.read_ppm(args.image), cfg)
+    window, stride = cfg["infer.window"], cfg["infer.stride"]
+    try:
+        for length in image.shape[-2:]:
+            tr.window_placements(length, window, stride)
+    except ValueError as exc:
+        raise ConfigError(f"infer.window={window}, infer.stride={stride}: {exc}") from exc
     out_dir = _prepare_out(cfg, args)
     checkpoint = args.checkpoint or os.path.join(out_dir, "checkpoint.lftc")
     model = _load_model(dcfg, cfg.seed, checkpoint)
-    image = _standardize_u8(fileio.read_ppm(args.image), cfg)
     num_classes = cfg["model.num_classes"]
 
     def infer_fn(tile: np.ndarray) -> np.ndarray:
@@ -256,8 +261,7 @@ def cmd_infer(cfg: RunConfig, args) -> int:
         logits, _ = model.forward(Tensor(tile[None].astype(np.float32)), train=False)
         return logits.data[0, :, :h, :w]
 
-    logits = tr.sliding_window_infer(image, cfg["infer.window"], cfg["infer.stride"],
-                                     infer_fn, num_classes)
+    logits = tr.sliding_window_infer(image, window, stride, infer_fn, num_classes)
     mask = np.argmax(logits, axis=0).astype(np.uint8)
     stem = os.path.splitext(os.path.basename(args.image))[0]
     mask_path = os.path.join(out_dir, f"{stem}_mask.pgm")

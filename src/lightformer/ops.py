@@ -521,9 +521,8 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, xp, stride
 def pool2d(x: Tensor, kind: str, kernel, stride=None) -> Tensor:
     """Average or max pooling; stride defaults to the kernel (non-overlapping).
 
-    Axis kernels such as (ws, 1) and (1, ws) are the window-attention
-    reduction path. Max ties break toward the first element scanned in
-    row-major kernel order, so the adjoint is deterministic.
+    Max ties break toward the first element scanned in row-major kernel
+    order, so the adjoint is deterministic.
     """
     if x.ndim != 4:
         raise ShapeError(f"pool2d: expected rank-4 input, got {x.shape}")
@@ -615,7 +614,7 @@ def upsample_bilinear(x: Tensor, out_hw) -> Tensor:
 
 
 def nearest_upsample(x: Tensor, factors) -> Tensor:
-    """Integer-factor repetition along H and W (broadcast-back of pooled maps)."""
+    """Integer-factor repetition along H and W."""
     fh, fw = _pair(factors)
     if x.ndim != 4:
         raise ShapeError(f"nearest_upsample: expected rank-4 input, got {x.shape}")

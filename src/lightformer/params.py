@@ -28,7 +28,6 @@ class _Entry:
 class ParamStore:
     def __init__(self):
         self._entries: dict[str, _Entry] = {}
-        self.initialized = False
 
     def add(self, name: str, shape, init: tuple, trainable: bool = True) -> Tensor:
         """Register one entry; ``init`` is ('kaiming', fan_in) | ('zeros',) | ('ones',)."""
@@ -55,10 +54,6 @@ class ParamStore:
                 std = np.sqrt(2.0 / fan_in)
                 data = (stream(seed, "init", name).standard_normal(shape) * std).astype(dtype)
             entry.tensor.data = data
-        self.initialized = True
-
-    def names(self):
-        return list(self._entries)
 
     def tensors(self):
         return [(name, e.tensor) for name, e in self._entries.items()]
@@ -96,4 +91,3 @@ class ParamStore:
             if tuple(arr.shape) != tuple(entry.tensor.shape):
                 raise ValueError(f"{name}: stored shape {arr.shape} != expected {entry.tensor.shape}")
             entry.tensor.data = np.ascontiguousarray(arr, dtype=entry.tensor.dtype)
-        self.initialized = True

@@ -262,12 +262,20 @@ def augment(image: np.ndarray, mask: np.ndarray, rng):
 
 
 def window_placements(length: int, window: int, stride: int) -> list:
-    """Start offsets covering [0, length): regular grid plus a clamped tail."""
+    """Start offsets covering [0, length): regular grid plus a clamped tail.
+
+    Raises ``ValueError`` when a stride longer than the window would leave
+    pixels between two consecutive placements uncovered.
+    """
     if window >= length:
         return [0]
     starts = list(range(0, length - window + 1, stride))
     if starts[-1] != length - window:
         starts.append(length - window)
+    for a, b in zip(starts, starts[1:]):
+        if b - a > window:
+            raise ValueError(f"stride {stride} leaves pixels {a + window}..{b - 1} of {length} "
+                             f"uncovered by windows of {window} at {starts}")
     return starts
 
 

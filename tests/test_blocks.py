@@ -6,9 +6,10 @@ import pytest
 
 from lightformer import ops
 from lightformer import blocks as bl
+from lightformer.gradcheck import COMPOSITE_TOL, check_gradients
 from lightformer.params import ParamStore
 from lightformer.rng import stream
-from lightformer.tensor import ShapeError, Tensor
+from lightformer.tensor import ShapeError, Tape, Tensor
 
 from oracles import naive_window_attention
 
@@ -108,6 +109,26 @@ class TestWindowAttention:
         np.testing.assert_allclose(out.data, want, rtol=1e-10, atol=1e-12)
         got_probs = maps["wa.probs"]["probs"].reshape(want_probs.shape)
         np.testing.assert_allclose(got_probs, want_probs, rtol=1e-10, atol=1e-12)
+
+    def test_stays_in_window_layout(self):
+        """One QKV partition and two per-window axis means: an unpadded
+        forward records 21 tape nodes and no pooling or upsampling op."""
+        attn, _ = _build(lambda s: bl.WindowAttention(s, "wa", 8, window_size=4, heads=2))
+        with Tape() as tape:
+            attn.forward(_rand((2, 8, 8, 12), seed=7))
+        recorded = [node.op for node in tape.nodes]
+        assert len(recorded) == 21
+        assert not [op for op in recorded if op.startswith(("pool2d", "nearest_upsample"))]
+
+    def test_padded_multi_head_adjoint(self):
+        """Finite differences through the padding, two heads, the window
+        partition and the axis means: 5x7 pads to 6x9 at window size 3."""
+        attn, store = _build(lambda s: bl.WindowAttention(s, "wa", 4, window_size=3, heads=2),
+                             seed=31)
+        x = Tensor(stream(32, "test.blocks").standard_normal((2, 4, 5, 7)), requires_grad=True)
+        result = check_gradients(lambda: attn.forward(x), [x, store["wa.qkv.weight"]],
+                                 tol=COMPOSITE_TOL, name="window_attention.padded")
+        assert result.ok, str(result)
 
     def test_tile_swap_equivariance(self):
         """Windows are independent: swapping two window-aligned input tiles

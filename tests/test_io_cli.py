@@ -405,6 +405,18 @@ class TestCliInferAndAttn:
         mask = fileio.read_pgm(trained / "odd_mask.pgm")
         assert mask.shape == (50, 70) and mask.max() < 3
 
+    def test_infer_stride_gap_is_usage_error(self, tmp_path, capsys):
+        """Stride 64 past window 32 leaves columns 32..37 of a 50x70 image
+        uncovered: exit 2 before any output directory or checkpoint read."""
+        scene = tmp_path / "odd.ppm"
+        fileio.write_ppm(scene, np.zeros((50, 70, 3), dtype=np.uint8))
+        out = tmp_path / "o"
+        assert run_cli("infer", str(scene), "--out", str(out), *TINY,
+                       "--window", "32", "--stride", "64") == 2
+        err = capsys.readouterr().err
+        assert "infer.window=32" in err and "infer.stride=64" in err
+        assert not out.exists()
+
     def test_infer_keeps_training_config(self, trained, tmp_path):
         scene = self._write_input(tmp_path)
         before = (trained / "config.ini").read_bytes()
@@ -458,9 +470,11 @@ class TestCliGradcheck:
                        "--instances", "2") == 0
         assert "relu" in (out / "gradcheck.txt").read_text()
 
-    def test_unknown_op_is_usage_error(self, tmp_path):
-        assert run_cli("gradcheck", "--out", str(tmp_path / "g"),
-                       "--op", "no-such-op") == 2
+    def test_unknown_op_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert run_cli("gradcheck", "--out", str(out), "--op", "no-such-op") == 2
+        assert "no-such-op" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliSurface:

@@ -372,6 +372,16 @@ class TestSlidingWindow:
     def test_window_covering_image_is_single_placement(self):
         assert tr.window_placements(50, 64, 16) == [0]
 
+    def test_stride_gap_raises(self):
+        """A stride past the window may leave a gap between placements;
+        a clamped tail that closes it stays legal."""
+        with pytest.raises(ValueError, match=r"pixels 32\.\.37 of 70 uncovered"):
+            tr.window_placements(70, 32, 64)
+        assert tr.window_placements(64, 32, 512) == [0, 32]
+        with pytest.raises(ValueError, match="uncovered"):
+            tr.sliding_window_infer(np.zeros((3, 50, 70), dtype=np.float32), 32, 64,
+                                    lambda chw: np.zeros((2, *chw.shape[1:])), num_classes=2)
+
     def test_equals_direct_inference_when_window_covers(self):
         rng = stream(5, "swi")
         image = rng.standard_normal((3, 20, 24)).astype(np.float32)
