@@ -133,13 +133,16 @@ class Identity:
 
 
 class BatchNorm2d:
-    """Per-channel normalization over (batch, height, width).
+    """Per-channel normalization over (batch, height, width), one ``ops.norm2d`` node.
 
     Training mode normalizes with batch statistics and folds them into the
     running buffers with momentum 0.1; the running variance stores the same
-    biased batch estimate used for normalization, so freezing immediately
-    after one training pass reproduces that pass bit for bit on the same
-    batch.
+    biased batch estimate used for normalization. Eval mode hands the
+    buffers to the same op, which computes ``(x - m) / sqrt(v + eps)``
+    exactly as training does (no folding into a scale and shift), so
+    freezing immediately after one training pass with momentum 1 reproduces
+    that pass bit for bit on the same batch. Both modes have adjoints for
+    x, gamma and beta.
     """
 
     def __init__(self, store: ParamStore, prefix: str, channels: int,
@@ -157,26 +160,13 @@ class BatchNorm2d:
                                      ("ones",), trainable=False)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.channels:
-            raise ShapeError(f"batch norm expects (B, {self.channels}, H, W), got {x.shape}")
-        c = self.channels
+        stats = None if train else (self.running_mean.data, self.running_var.data)
+        y, m, v = ops.norm2d(x, self.gamma, self.beta, self.eps, stats=stats)
         if train:
-            m = ops.mean(x, axes=(0, 2, 3), keepdims=True)
-            centered = ops.sub(x, m)
-            v = ops.mean(ops.mul(centered, centered), axes=(0, 2, 3), keepdims=True)
             mom = self.momentum
-            self.running_mean.data = ((1.0 - mom) * self.running_mean.data
-                                      + mom * m.data.reshape(c))
-            self.running_var.data = ((1.0 - mom) * self.running_var.data
-                                     + mom * v.data.reshape(c))
-        else:
-            m = Tensor(self.running_mean.data.reshape(1, c, 1, 1).copy())
-            v = Tensor(self.running_var.data.reshape(1, c, 1, 1).copy())
-            centered = ops.sub(x, m)
-        xhat = ops.div(centered, ops.sqrt(ops.add(v, self.eps)))
-        g = ops.reshape(self.gamma, (1, c, 1, 1))
-        b = ops.reshape(self.beta, (1, c, 1, 1))
-        return ops.add(ops.mul(xhat, g), b)
+            self.running_mean.data = (1.0 - mom) * self.running_mean.data + mom * m
+            self.running_var.data = (1.0 - mom) * self.running_var.data + mom * v
+        return y
 
     def cost(self, rep, hw, batch: int) -> tuple:
         rep.add(self.prefix, params=self.gamma.size + self.beta.size,
@@ -185,7 +175,8 @@ class BatchNorm2d:
 
 
 class GroupNorm2d:
-    """Stateless per-sample normalization over channel groups; train == eval."""
+    """Stateless per-sample normalization over channel groups, one
+    ``ops.norm2d`` node; train == eval."""
 
     def __init__(self, store: ParamStore, prefix: str, channels: int,
                  groups: int | None = None, eps: float = 1e-5):
@@ -202,19 +193,7 @@ class GroupNorm2d:
         self.beta = store.add(f"{prefix}.beta", (channels,), ("zeros",))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.channels:
-            raise ShapeError(f"group norm expects (B, {self.channels}, H, W), got {x.shape}")
-        b, c, h, w = x.shape
-        g = self.groups
-        grouped = ops.reshape(x, (b, g, (c // g) * h * w))
-        m = ops.mean(grouped, axes=2, keepdims=True)
-        centered = ops.sub(grouped, m)
-        v = ops.mean(ops.mul(centered, centered), axes=2, keepdims=True)
-        xhat = ops.div(centered, ops.sqrt(ops.add(v, self.eps)))
-        xhat = ops.reshape(xhat, (b, c, h, w))
-        gam = ops.reshape(self.gamma, (1, c, 1, 1))
-        bet = ops.reshape(self.beta, (1, c, 1, 1))
-        return ops.add(ops.mul(xhat, gam), bet)
+        return ops.norm2d(x, self.gamma, self.beta, self.eps, groups=self.groups)[0]
 
     cost = BatchNorm2d.cost
 

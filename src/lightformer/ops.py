@@ -630,6 +630,81 @@ def nearest_upsample(x: Tensor, factors) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# normalization
+
+
+def norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, groups: int | None = None,
+           stats=None) -> tuple:
+    """Normalize a [B,C,H,W] map, then scale by ``gamma`` and shift by ``beta`` (each (C,)).
+
+    The statistics come from one of three sources:
+
+    * by default, per channel over (B, H, W): batch norm in training;
+    * ``groups=G``: per sample over each of G runs of C/G consecutive
+      channels: group norm;
+    * ``stats=(mean, var)``: given per-channel arrays of shape (C,): batch
+      norm in eval mode.
+
+    Every source computes ``(x - mean) / sqrt(var + eps) * gamma + beta``
+    with the same operations in the same order, so statistics given back
+    equal to a batch's reproduce that batch's output bit for bit. One tape
+    node. The adjoint of x is ``inv·(ĝ − mean(ĝ) − x̂·mean(ĝ·x̂))`` with
+    ĝ = g·gamma and inv = 1/sqrt(var + eps), the means running over each
+    statistic's elements; with given statistics it is ``ĝ·inv``. The
+    normalized map x̂ is recomputed from x in the adjoint, not kept.
+
+    Returns ``(out, mean, var)``, the statistics used, with the biased
+    variance: shaped (C,) for batch and given statistics, (B, G) for groups.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"norm2d: expected rank-4 input, got {x.shape}")
+    B, C, H, W = x.shape
+    for name, t in (("gamma", gamma), ("beta", beta)):
+        _check_same_dtype("norm2d", x, t)
+        if t.shape != (C,):
+            raise ShapeError(f"norm2d: {name} shape {t.shape} != ({C},), the channels of x {x.shape}")
+    if groups is None:
+        xs, axes = x.data, (0, 2, 3)
+    elif stats is not None:
+        raise ShapeError("norm2d: given statistics are per channel, so groups must be None")
+    elif groups < 1 or C % groups:
+        raise ShapeError(f"norm2d: groups {groups} does not divide channels {C}")
+    else:
+        xs, axes = x.data.reshape(B, groups, -1), (2,)
+    if stats is None:
+        m = xs.mean(axis=axes, keepdims=True)
+        centered = xs - m
+        v = (centered * centered).mean(axis=axes, keepdims=True)
+    else:
+        for name, s in zip(("mean", "var"), stats):
+            if s.shape != (C,):
+                raise ShapeError(f"norm2d: given {name} shape {s.shape} != ({C},)")
+            if s.dtype != x.dtype:
+                raise ShapeError(f"norm2d: dtype mismatch {x.dtype.name} vs given {name} {s.dtype.name}")
+        m, v = (s.reshape(1, C, 1, 1) for s in stats)
+        centered = xs - m
+    std = np.sqrt(v + np.asarray(eps, dtype=x.dtype))
+    gam = gamma.data.reshape(1, C, 1, 1)
+    y = np.divide(centered, std, out=centered).reshape(B, C, H, W) * gam
+    y += beta.data.reshape(1, C, 1, 1)
+
+    def backward(g):
+        xhat = (xs - m) / std
+        g_gamma = (g * xhat.reshape(B, C, H, W)).sum(axis=(0, 2, 3))
+        gx = (g * gam).reshape(xs.shape)
+        if stats is None:
+            dot = (gx * xhat).mean(axis=axes, keepdims=True)
+            gx -= gx.mean(axis=axes, keepdims=True)
+            gx -= np.multiply(xhat, dot, out=xhat)
+        gx *= 1.0 / std
+        return gx.reshape(B, C, H, W), g_gamma, g.sum(axis=(0, 2, 3))
+
+    out = _result("norm2d", (x, gamma, beta), y, backward)
+    shape = (C,) if groups is None else (B, groups)
+    return out, m.reshape(shape), v.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # operator sugar on Tensor
 
 Tensor.__add__ = lambda self, other: add(self, other)

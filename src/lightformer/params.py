@@ -1,11 +1,12 @@
 """Named parameter registry shared by blocks, networks, and the optimizer.
 
 Layers register uniquely named entries at construction time and keep the
-returned Tensor; ``init`` then fills every entry from a per-name random
-stream, so values depend only on (seed, name, dtype), never on
-registration order. Buffers (running statistics) live in the same
-namespace with ``trainable=False`` and are excluded from parameter
-counts and gradient updates but included in checkpoints.
+returned Tensor, which holds a read-only zero placeholder of the entry's
+shape; ``init`` then fills every entry from a per-name random stream, so
+values depend only on (seed, name, dtype), never on registration order.
+Buffers (running statistics) live in the same namespace with
+``trainable=False`` and are excluded from parameter counts and gradient
+updates but included in checkpoints.
 """
 
 from __future__ import annotations
@@ -36,7 +37,11 @@ class ParamStore:
         kind = init[0]
         if kind not in ("kaiming", "zeros", "ones"):
             raise ValueError(f"{name}: unknown init spec {init!r}")
-        t = Tensor(np.zeros(tuple(shape), dtype=np.float32), requires_grad=trainable)
+        shape = tuple(shape)
+        t = Tensor(np.zeros((), dtype=np.float32), requires_grad=trainable)
+        # A zero-stride view of an immutable zero: shape, size and dtype work
+        # for pricing an uninitialized model, and a write before init raises.
+        t.data = np.ndarray(shape, np.float32, buffer=bytes(4), strides=(0,) * len(shape))
         self._entries[name] = _Entry(tensor=t, init=init, trainable=trainable)
         return t
 

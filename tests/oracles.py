@@ -147,3 +147,49 @@ def naive_window_attention(x, w_qkv, window_size, heads):
             out[:, :, r * ws:(r + 1) * ws, s * ws:(s + 1) * ws] = (
                 win.mean(axis=2, keepdims=True) + win.mean(axis=3, keepdims=True))
     return out[:, :, :h, :w], probs
+
+
+def naive_norm2d(x, gamma, beta, eps, g, groups=None, stats=None):
+    """Normalization composed of elementary steps (mean, subtract, square,
+    mean, add eps, sqrt, divide, scale, shift), with its adjoint taken back
+    through each step in turn; the reference for ``ops.norm2d``.
+
+    Statistics are per channel over (B, H, W) by default, per sample over
+    each of ``groups`` channel groups, or the given per-channel
+    ``stats=(mean, var)``. ``g`` is the output adjoint. Returns
+    ``(out, mean, var, gx, g_gamma, g_beta)``.
+    """
+    b, c, h, w = x.shape
+    if groups is None:
+        xs, axes = x, (0, 2, 3)
+    else:
+        xs, axes = x.reshape(b, groups, -1), (2,)
+    if stats is None:
+        m = xs.mean(axis=axes, keepdims=True)
+        centered = xs - m
+        v = (centered * centered).mean(axis=axes, keepdims=True)
+    else:
+        m, v = (s.reshape(1, c, 1, 1) for s in stats)
+        centered = xs - m
+    std = np.sqrt(v + eps)
+    xhat = (centered / std).reshape(x.shape)
+    gam, bet = gamma.reshape(1, c, 1, 1), beta.reshape(1, c, 1, 1)
+    out = xhat * gam + bet
+
+    # Reverse sweep: out = xhat*gam + bet, xhat = centered/std,
+    # std = sqrt(v + eps), v = mean(centered²), centered = xs - m, m = mean(xs).
+    g_gamma = (g * xhat).sum(axis=(0, 2, 3))
+    g_beta = g.sum(axis=(0, 2, 3))
+    g_xhat = (g * gam).reshape(xs.shape)
+    g_centered = g_xhat / std
+    if stats is None:
+        count = xs.size // m.size
+        g_std = (-g_xhat * centered / (std * std)).sum(axis=axes, keepdims=True)
+        g_v = g_std * 0.5 / std
+        g_centered = g_centered + 2.0 * centered * g_v / count
+        g_m = -g_centered.sum(axis=axes, keepdims=True)
+        gx = g_centered + g_m / count
+    else:
+        gx = g_centered
+    shape = (c,) if groups is None else (b, groups)
+    return out, m.reshape(shape), v.reshape(shape), gx.reshape(x.shape), g_gamma, g_beta

@@ -6,7 +6,7 @@ import pytest
 
 from lightformer import ops
 from lightformer import blocks as bl
-from lightformer.gradcheck import COMPOSITE_TOL, check_gradients
+from lightformer.gradcheck import COMPOSITE_TOL, PRIMITIVE_TOL, check_gradients
 from lightformer.params import ParamStore
 from lightformer.rng import stream
 from lightformer.tensor import ShapeError, Tape, Tensor
@@ -413,6 +413,40 @@ class TestNormalization:
         grouped = out.reshape(1, 3, 2 * 64)
         np.testing.assert_allclose(grouped.mean(axis=2), 0.0, atol=1e-6)
         np.testing.assert_allclose(grouped.std(axis=2), 1.0, atol=1e-3)
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("kind", ["batch", "group"])
+    def test_one_tape_node(self, kind, train):
+        norm, _ = _build(lambda s: bl.make_norm(s, "n", 4, kind))
+        with Tape() as tape:
+            norm.forward(_rand((2, 4, 3, 3), seed=24), train=train)
+        assert [n.op for n in tape.nodes] == ["norm2d"]
+
+    def test_batchnorm_eval_adjoint(self):
+        """Eval mode normalizes with the running buffers, and x, gamma and
+        beta all keep their adjoints."""
+        bn, store = _build(lambda s: bl.BatchNorm2d(s, "bn", 3))
+        rng = stream(25, "bn.eval")
+        store["bn.running_mean"].data = rng.standard_normal(3)
+        store["bn.running_var"].data = np.abs(rng.standard_normal(3)) + 0.5
+        gamma, beta = store["bn.gamma"], store["bn.beta"]
+        gamma.data = rng.standard_normal(3)
+        beta.data = rng.standard_normal(3)
+        x = Tensor(rng.standard_normal((2, 3, 4, 3)), requires_grad=True)
+        result = check_gradients(lambda: bn.forward(x, train=False), [x, gamma, beta],
+                                 tol=PRIMITIVE_TOL, name="batchnorm.eval")
+        assert result.ok, str(result)
+
+    def test_groupnorm_adjoint_three_groups(self):
+        gn, store = _build(lambda s: bl.GroupNorm2d(s, "gn", 6, groups=3))
+        rng = stream(26, "gn.fd")
+        gamma, beta = store["gn.gamma"], store["gn.beta"]
+        gamma.data = rng.standard_normal(6)
+        beta.data = rng.standard_normal(6)
+        x = Tensor(rng.standard_normal((2, 6, 3, 4)) * 2 + 1, requires_grad=True)
+        result = check_gradients(lambda: gn.forward(x, train=True), [x, gamma, beta],
+                                 tol=PRIMITIVE_TOL, name="groupnorm.g3")
+        assert result.ok, str(result)
 
 
 class TestFrozenParamCounts:

@@ -5,6 +5,7 @@ split-vs-full-width comparison."""
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,26 @@ class TestDualRoute:
     def test_params_ignore_resolution_and_batch(self):
         assert eff.model_cost(TOY, (64, 64), 1).params == \
             eff.model_cost(TOY, (256, 192), 8).params
+
+    def test_pricing_allocates_no_parameters(self):
+        """Unset store entries are read-only zero-stride placeholders, so
+        pricing the width-64 model (4.86 M parameters, 18.5 MiB as float32)
+        allocates almost nothing, and a write before ``init`` raises."""
+        tracemalloc.start()
+        try:
+            assert eff.model_cost(DEFAULT6, (64, 64)).params == 4_858_585
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"model_cost peak {peak / 2**20:.1f} MiB"
+        store = ParamStore()
+        w = store.add("w", (2, 3), ("ones",))
+        assert (w.shape, w.size, w.dtype) == ((2, 3), 6, np.float32)
+        with pytest.raises(ValueError):
+            w.data += 1
+        store.init(seed=0)
+        w.data += 1
+        np.testing.assert_array_equal(w.data, np.full((2, 3), 2.0, dtype=np.float32))
 
 
 class TestAdditivity:

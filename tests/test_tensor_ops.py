@@ -11,7 +11,7 @@ from lightformer.tensor import tensor
 from lightformer.rng import stream
 
 from oracles import (naive_bilinear, naive_conv2d, naive_matmul, naive_nearest,
-                     naive_pool2d, naive_softmax)
+                     naive_norm2d, naive_pool2d, naive_softmax)
 
 
 def randt(rng, shape, dtype=np.float32):
@@ -424,6 +424,69 @@ class TestResize:
         x = randt(rng, (2, 2, 2, 3))
         out = ops.nearest_upsample(x, (2, 3))
         np.testing.assert_array_equal(out.data, naive_nearest(x.data, (2, 3)))
+
+
+class TestNorm2d:
+    MODES = ("batch", "group", "given")
+
+    @staticmethod
+    def _case(mode, dtype):
+        """One (3, 6, 5, 7) input, off-centre and off-scale, with its output
+        adjoint; ``group`` uses 3 groups of 2 channels."""
+        rng = stream(33, "norm2d", mode)
+        c = 6
+        x = rng.standard_normal((3, c, 5, 7)) * 3 + 1.5
+        gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
+        g = rng.standard_normal(x.shape)
+        stats = (rng.standard_normal(c), np.abs(rng.standard_normal(c)) + 0.5) if mode == "given" else None
+        groups = 3 if mode == "group" else None
+        ref = naive_norm2d(x, gamma, beta, 1e-5, g, groups=groups, stats=stats)
+        xt, gt, bt = (Tensor(a, dtype=dtype, requires_grad=True) for a in (x, gamma, beta))
+        given = None if stats is None else tuple(s.astype(dtype) for s in stats)
+        with Tape() as tape:
+            y, m, v = ops.norm2d(xt, gt, bt, 1e-5, groups=groups, stats=given)
+            loss = ops.sum_(ops.mul(y, Tensor(g, dtype=dtype)))
+        assert len(tape.nodes) == 3  # norm2d, mul, sum
+        grads = tape.backward(loss)
+        return (y.data, m, v, grads[xt], grads[gt], grads[bt]), ref
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_composed_oracle_float64(self, mode):
+        got, ref = self._case(mode, np.float64)
+        for name, a, r in zip(("out", "mean", "var", "gx", "g_gamma", "g_beta"), got, ref):
+            assert a.shape == r.shape, name
+            np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_composed_oracle_float32(self, mode):
+        # 16 float32 epsilons of the reference's scale (at least 1); over 30
+        # seeds of this case the largest error was 3.9e-7.
+        bound = 16 * np.finfo(np.float32).eps
+        got, ref = self._case(mode, np.float32)
+        for name, a, r in zip(("out", "mean", "var", "gx", "g_gamma", "g_beta"), got, ref):
+            assert a.dtype == np.float32, name
+            np.testing.assert_allclose(a, r, rtol=0, atol=bound * max(1.0, np.abs(r).max()), err_msg=name)
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((2, 4, 3, 3), dtype=np.float32))
+        c4 = Tensor(np.ones(4, dtype=np.float32))
+        c3 = Tensor(np.ones(3, dtype=np.float32))
+        c4_64 = Tensor(np.ones(4), dtype=np.float64)
+        stat = np.ones(4, dtype=np.float32)
+        bad = [
+            ((Tensor(np.zeros((2, 4, 3), dtype=np.float32)), c4, c4), {}, "rank-4"),
+            ((x, c3, c4), {}, "gamma shape"),
+            ((x, c4, c3), {}, "beta shape"),
+            ((x, c4_64, c4), {}, "dtype"),
+            ((x, c4, c4), {"groups": 3}, "groups 3 does not divide"),
+            ((x, c4, c4), {"groups": 0}, "groups 0 does not divide"),
+            ((x, c4, c4), {"stats": (stat[:3], stat)}, "given mean shape"),
+            ((x, c4, c4), {"stats": (stat, stat.astype(np.float64))}, "given var"),
+            ((x, c4, c4), {"groups": 2, "stats": (stat, stat)}, "groups must be None"),
+        ]
+        for args, kwargs, needle in bad:
+            with pytest.raises(ShapeError, match=needle):
+                ops.norm2d(*args, 1e-5, **kwargs)
 
 
 class TestDunders:

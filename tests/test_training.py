@@ -212,8 +212,9 @@ class TestAdamW:
 def test_train_step_memory():
     """One toy train step (B=8, 64x64) with its AdamW update. The sweep drops
     each node's saved arrays as it passes, so the peak stays near the forward's
-    activations (about 45 MiB) instead of holding every node and adjoint until
-    the step ends (about 88 MiB)."""
+    activations (about 34 MiB) instead of holding every node and adjoint until
+    the step ends (about 88 MiB). Each of the 36 norm layers records one node
+    that keeps no normalized copy of its input, so the tape holds 355 nodes."""
     from lightformer import config, network, synthetic
 
     cfg = config.load()
@@ -234,11 +235,13 @@ def test_train_step_memory():
             logits, aux = model.forward(batch, train=True)
             loss = tr.total_loss(logits, aux, labels, train=True,
                                  aux_weight=cfg["train.aux_weight"]).total
+        nodes = len(tape.nodes)
         opt.step(tape.backward(loss))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60 * 2**20, f"train step peak {peak / 2**20:.1f} MiB"
+    assert nodes <= 360, f"train step recorded {nodes} tape nodes"
+    assert peak < 42 * 2**20, f"train step peak {peak / 2**20:.1f} MiB"
 
 
 class TestCosine:
