@@ -399,8 +399,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
 
     groups == Cin == Cout (one filter per channel) runs ``_conv2d_depthwise``,
     a multiply-accumulate over shifted views of the padded input. Every other
-    grouping turns each tap into a batch of per-group matmuls over a copy of
-    the strided input slice, kept for the adjoint.
+    grouping is lowered to im2col (Chellapilla et al., 2006): a column buffer
+    of shape (B, groups, Cin/groups*kh*kw, H'*W') copied from a strided view
+    of the padded input, and one ``np.matmul`` with the weight viewed as
+    (groups, Cout/groups, Cin/groups*kh*kw). The adjoint computes the weight
+    gradient from the buffer, then overwrites the buffer with the column
+    adjoint and scatters it back onto the input with one strided add per
+    tap (col2im). The GEMMs round differently from a per-tap accumulation.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -431,34 +436,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     if groups == Cin == Cout:
         return _conv2d_depthwise(x, weight, bias, xp, (sh, sw), (ph, pw), (Ho, Wo))
-    Hp, Wp = xp.shape[2], xp.shape[3]
-    xg = xp.reshape(B, groups, Cin_g, Hp, Wp)
-    wg = weight.data.reshape(groups, Cout // groups, Cin_g, kh, kw)
-    N = Ho * Wo
-
-    out = np.zeros((B, groups, Cout // groups, N), dtype=x.dtype)
-    taps = []  # (u, v, flattened strided input slice) reused by the adjoint
-    for u in range(kh):
-        for v in range(kw):
-            xs = xg[:, :, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw]
-            xs = np.ascontiguousarray(xs).reshape(B, groups, Cin_g, N)
-            taps.append((u, v, xs))
-            out += np.matmul(wg[None, :, :, :, u, v], xs)
-    y = out.reshape(B, Cout, Ho, Wo)
+    Cout_g, K, N = Cout // groups, Cin_g * kh * kw, Ho * Wo
+    padded_shape = xp.shape  # the adjoint must not keep xp alive
+    # Row (c, u, v) of the column buffer is input channel c seen through tap
+    # (u, v). When that view is already contiguous (an unpadded stride-1
+    # 1x1 conv), the buffer is x.data itself, read-only.
+    s0, s1, s2, s3 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (B, Cin, kh, kw, Ho, Wo), (s0, s1, s2, s3, s2 * sh, s3 * sw), writeable=False
+    )
+    col = np.ascontiguousarray(windows).reshape(B, groups, K, N)
+    wg = weight.data.reshape(groups, Cout_g, K)
+    y = np.matmul(wg, col).reshape(B, Cout, Ho, Wo)
     if bias is not None:
-        y = y + bias.data.reshape(1, Cout, 1, 1)
+        y += bias.data.reshape(1, Cout, 1, 1)
 
     def backward(g):
-        gg = g.reshape(B, groups, Cout // groups, N)
-        gw = np.empty_like(wg)
-        gxp = np.zeros((B, groups, Cin_g, Hp, Wp), dtype=x.dtype)
-        for u, v, xs in taps:
-            gw[:, :, :, u, v] = np.matmul(gg, xs.swapaxes(-1, -2)).sum(axis=0)
-            contrib = np.matmul(wg[None, :, :, :, u, v].swapaxes(-1, -2), gg)
-            gxp[:, :, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw] += contrib.reshape(
-                B, groups, Cin_g, Ho, Wo
-            )
-        gx = gxp.reshape(B, Cin, Hp, Wp)[:, :, ph : ph + H, pw : pw + W]
+        gg = g.reshape(B, groups, Cout_g, N)
+        gw = np.matmul(gg, col.swapaxes(-1, -2)).sum(axis=0)
+        # col is dead once gw is done, so the column adjoint overwrites it
+        # (this makes the closure single-use, as the tape already is).
+        gcol = np.matmul(wg.swapaxes(-1, -2), gg, out=col if col.flags.writeable else None)
+        gcol = gcol.reshape(B, Cin, kh, kw, Ho, Wo)
+        gxp = np.zeros(padded_shape, dtype=x.dtype)
+        for u in range(kh):
+            for v in range(kw):
+                gxp[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw] += gcol[:, :, u, v]
+        gx = gxp[:, :, ph : ph + H, pw : pw + W]
         grads = [np.ascontiguousarray(gx), gw.reshape(Cout, Cin_g, kh, kw)]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
@@ -471,10 +475,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
 def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, xp, stride, padding, out_hw) -> Tensor:
     """conv2d for groups == Cin == Cout: a multiply-accumulate per tap over strided views of xp.
 
-    Nothing is copied per tap except one transient slice in the weight
-    adjoint. Taps run in the grouped path's row-major order and every
-    product and sum is the same floating-point operation, so results match
-    it bit for bit.
+    Nothing is copied per tap. The forward and the input adjoint add one
+    product per tap in row-major tap order, the same floating-point
+    operations as a per-tap grouped conv, so they match one bit for bit.
+    The weight adjoint of a tap is an ``einsum`` reduction of the output
+    adjoint against that tap's strided view, which matches a per-tap matmul
+    only to rounding.
     """
     (sh, sw), (ph, pw), (Ho, Wo) = stride, padding, out_hw
     B, C, H, W = x.shape
@@ -499,14 +505,12 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, xp, stride
         out += bias.data.reshape(1, C, 1, 1)
 
     def backward(g):
-        gg = g.reshape(B, C, 1, Ho * Wo)
         gw = np.empty_like(wt)
         gxp = np.zeros_like(xp)
         prod = np.empty_like(g)
         for u in range(kh):
             for v in range(kw):
-                xs = np.ascontiguousarray(xp[tap(u, v)]).reshape(B, C, 1, Ho * Wo)
-                gw[:, u, v] = np.matmul(gg, xs.swapaxes(-1, -2)).sum(axis=0)[:, 0, 0]
+                gw[:, u, v] = np.einsum("bchw,bchw->c", g, xp[tap(u, v)])
                 gxp[tap(u, v)] += np.multiply(wt[:, u, v].reshape(1, C, 1, 1), g, out=prod)
         gx = gxp[:, :, ph : ph + H, pw : pw + W]
         grads = [np.ascontiguousarray(gx), gw.reshape(C, 1, kh, kw)]

@@ -34,6 +34,48 @@ def naive_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     return out.astype(x.dtype)
 
 
+def tap_conv2d(x, w, b, g, stride=1, padding=0, groups=1):
+    """Grouped conv as kh*kw batched matmuls, one per tap, over a contiguous
+    copy of each tap's strided input slice; forward and adjoint.
+
+    ``g`` is the output adjoint. Returns ``(y, gx, gw, gb)``, with ``gb``
+    None when ``b`` is. This is the loop ``ops.conv2d`` ran before its
+    im2col lowering. Taps run in row-major order and each adds its products
+    into the output and the input adjoint, the same operations as the
+    depthwise path, so it is that path's bitwise reference.
+    """
+    sh, sw = (stride, stride) if isinstance(stride, int) else stride
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    bsz, cin, h, wid = x.shape
+    cout, cin_g, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    hp, wp = xp.shape[2:]
+    ho = (hp - kh) // sh + 1
+    wo = (wp - kw) // sw + 1
+    n = ho * wo
+    xg = xp.reshape(bsz, groups, cin_g, hp, wp)
+    wg = w.reshape(groups, cout // groups, cin_g, kh, kw)
+    gg = g.reshape(bsz, groups, cout // groups, n)
+    out = np.zeros((bsz, groups, cout // groups, n), dtype=x.dtype)
+    gw = np.empty_like(wg)
+    gxp = np.zeros((bsz, groups, cin_g, hp, wp), dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            rows = slice(u, u + sh * (ho - 1) + 1, sh)
+            cols = slice(v, v + sw * (wo - 1) + 1, sw)
+            xs = np.ascontiguousarray(xg[:, :, :, rows, cols]).reshape(bsz, groups, cin_g, n)
+            wt = wg[None, :, :, :, u, v]
+            out += np.matmul(wt, xs)
+            gw[:, :, :, u, v] = np.matmul(gg, xs.swapaxes(-1, -2)).sum(axis=0)
+            gxp[:, :, :, rows, cols] += np.matmul(wt.swapaxes(-1, -2), gg).reshape(bsz, groups, cin_g, ho, wo)
+    y = out.reshape(bsz, cout, ho, wo)
+    if b is not None:
+        y = y + b.reshape(1, cout, 1, 1)
+    gx = gxp.reshape(bsz, cin, hp, wp)[:, :, ph:ph + h, pw:pw + wid]
+    gb = None if b is None else g.sum(axis=(0, 2, 3))
+    return y, gx, gw.reshape(w.shape), gb
+
+
 def naive_pool2d(x, kind, kernel, stride=None):
     kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
     if stride is None:

@@ -11,7 +11,7 @@ from lightformer.tensor import tensor
 from lightformer.rng import stream
 
 from oracles import (naive_bilinear, naive_conv2d, naive_matmul, naive_nearest,
-                     naive_norm2d, naive_pool2d, naive_softmax)
+                     naive_norm2d, naive_pool2d, naive_softmax, tap_conv2d)
 
 
 def randt(rng, shape, dtype=np.float32):
@@ -91,7 +91,7 @@ class TestBroadcasting:
 
 
 # groups == cin == cout takes conv2d's depthwise path; every other grouping
-# takes the general grouped path. dtype defaults to float32.
+# takes the im2col path. dtype defaults to float32.
 CONV_GEOMETRIES = [
     dict(cin=3, cout=4, kernel=(1, 1)),
     dict(cin=3, cout=4, kernel=(3, 3), padding=1),
@@ -106,6 +106,10 @@ CONV_GEOMETRIES = [
     dict(cin=4, cout=4, kernel=(3, 3), stride=2, padding=1, groups=4, dtype=np.float64),
     dict(cin=4, cout=4, kernel=(3, 5), stride=(2, 1), padding=(1, 2), groups=4, dtype=np.float64),
     dict(cin=3, cout=6, kernel=(3, 3), padding=1, groups=3),  # one input channel, two filters each
+    dict(cin=3, cout=4, kernel=(1, 1), stride=2),  # a 1x1 whose column buffer is a copy, not the input
+    dict(cin=16, cout=4, kernel=(3, 3), stride=2, padding=1),  # K = 144 rows against N = 16 columns
+    dict(cin=4, cout=6, kernel=(3, 3), stride=2, padding=1, groups=2),
+    dict(cin=3, cout=4, kernel=(3, 3), padding=1, dtype=np.float64),
 ]
 
 
@@ -137,6 +141,29 @@ def test_conv2d_matches_naive(geometry, use_bias):
 
 
 @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+def test_conv2d_float64_matches_naive(geometry):
+    rng = stream(11, "conv.f64", str(sorted(geometry.items())))
+    x, w, b, g = _conv_case(rng, geometry, True, dtype=np.float64)
+    ref = naive_conv2d(x.data, w.data, b.data, g.get("stride", 1), g.get("padding", 0), g.get("groups", 1))
+    np.testing.assert_allclose(ops.conv2d(x, w, b, **g).data, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+def test_conv2d_adjoint_dot_product(geometry):
+    # conv is bilinear in (x, w): <conv(x, w), g> == <x, gx> == <w, gw>.
+    rng = stream(13, "conv.dot", str(sorted(geometry.items())))
+    x, w, _, g = _conv_case(rng, geometry, False, dtype=np.float64, requires_grad=True)
+    with Tape() as tape:
+        y = ops.conv2d(x, w, None, **g)
+    direction = rng.standard_normal(y.shape)
+    gx, gw = tape.nodes[-1].backward(direction)
+    assert gx.shape == x.shape and gw.shape == w.shape
+    dot = np.vdot(y.data, direction)
+    np.testing.assert_allclose(np.vdot(x.data, gx), dot, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(np.vdot(w.data, gw), dot, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
 @pytest.mark.parametrize("use_bias", [False, True])
 def test_conv2d_adjoint_matches_finite_differences(geometry, use_bias):
     rng = stream(12, "conv.fd", str(sorted(geometry.items())), str(use_bias))
@@ -148,7 +175,7 @@ def test_conv2d_adjoint_matches_finite_differences(geometry, use_bias):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv2d_depthwise_bitwise_matches_grouped_path(dtype):
-    # Cout = 2*Cin runs the general grouped path. With the odd filters zeroed,
+    # Cout = 2*Cin in the per-tap grouped oracle. With the odd filters zeroed,
     # its even channels make the same products and sums as the depthwise path;
     # only the weight adjoint's dot products may round differently.
     rng = stream(14, "conv.paths", np.dtype(dtype).name)
@@ -157,26 +184,59 @@ def test_conv2d_depthwise_bitwise_matches_grouped_path(dtype):
     w = Tensor(rng.standard_normal((C, 1, 3, 5)), dtype=dtype, requires_grad=True)
     b = Tensor(rng.standard_normal((C,)), dtype=dtype)
     direction = rng.standard_normal((2, C, 5, 6)).astype(dtype)
-    w2 = Tensor(np.zeros((2 * C, 1, 3, 5)), dtype=dtype, requires_grad=True)
-    b2 = Tensor(np.zeros(2 * C), dtype=dtype)
+    w2 = np.zeros((2 * C, 1, 3, 5), dtype=dtype)
+    b2 = np.zeros(2 * C, dtype=dtype)
     direction2 = np.zeros((2, 2 * C, 5, 6), dtype=dtype)
-    w2.data[0::2], b2.data[0::2], direction2[:, 0::2] = w.data, b.data, direction
-    runs = []
-    for weight, bias, d in ((w, b, direction), (w2, b2, direction2)):
+    w2[0::2], b2[0::2], direction2[:, 0::2] = w.data, b.data, direction
+    with Tape() as tape:
+        y = ops.conv2d(x, w, b, stride=2, padding=(1, 2), groups=C)
+        loss = ops.sum_(ops.mul(y, Tensor(direction)))
+    grads = tape.backward(loss)
+    y2, gx2, gw2, _ = tap_conv2d(x.data, w2, b2, direction2, stride=2, padding=(1, 2), groups=C)
+    np.testing.assert_array_equal(y.data, y2[:, 0::2])
+    np.testing.assert_array_equal(grads[x], gx2)
+    np.testing.assert_allclose(grads[w], gw2[0::2], rtol=1e-5 if dtype == np.float32 else 1e-12)
+
+
+def test_conv2d_1x1_adjoint_leaves_input_intact():
+    # An unpadded stride-1 1x1 conv's column buffer is x.data itself; the
+    # adjoint must not write the column adjoint into it.
+    rng = stream(15, "conv.alias")
+    x = Tensor(rng.standard_normal((2, 3, 5, 6)), dtype=np.float32, requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, 1, 1)), dtype=np.float32, requires_grad=True)
+    before = x.data.copy()
+    with Tape() as tape:
+        loss = ops.sum_(ops.mul(ops.conv2d(x, w), ops.conv2d(x, w)))
+    grads = tape.backward(loss)
+    np.testing.assert_array_equal(x.data, before)
+    assert np.abs(grads[x]).max() > 0
+
+
+def test_conv2d_im2col_memory():
+    # Taped, a 3x3 conv holds one column buffer (9x the input) for its
+    # adjoint, and the adjoint writes the column adjoint back into it, so the
+    # peak is that buffer plus the padded-input adjoint and a few map-sized
+    # arrays. A separate column adjoint would add another buffer.
+    B, C, H, W = 2, 8, 32, 32
+    x = Tensor(np.ones((B, C, H, W), dtype=np.float32), requires_grad=True)
+    w = Tensor(np.ones((C, C, 3, 3), dtype=np.float32), requires_grad=True)
+    g = np.ones((B, C, H, W), dtype=np.float32)
+    col_bytes = 9 * x.data.nbytes
+    padded_bytes = B * C * (H + 2) * (W + 2) * 4
+    tracemalloc.start()
+    try:
         with Tape() as tape:
-            y = ops.conv2d(x, weight, bias, stride=2, padding=(1, 2), groups=C)
-            loss = ops.sum_(ops.mul(y, Tensor(d)))
-        grads = tape.backward(loss)
-        runs.append((y.data[:, ::y.shape[1] // C], grads[x], grads[weight][::weight.shape[0] // C]))
-    (y1, gx1, gw1), (y2, gx2, gw2) = runs
-    np.testing.assert_array_equal(y1, y2)
-    np.testing.assert_array_equal(gx1, gx2)
-    np.testing.assert_allclose(gw1, gw2, rtol=1e-5 if dtype == np.float32 else 1e-12)
+            ops.conv2d(x, w, None, padding=1)
+        tape.nodes[-1].backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < col_bytes + 5 * padded_bytes
 
 
 def test_conv2d_depthwise_forward_memory():
     # Untaped, the depthwise path holds the padded input, the output and one
-    # product buffer; the general path kept a copy of the input per tap.
+    # product buffer, where a column buffer would hold kh*kw copies of the input.
     x = Tensor(np.ones((1, 16, 128, 128), dtype=np.float32))
     w = Tensor(np.ones((16, 1, 7, 7), dtype=np.float32))
     tracemalloc.start()
