@@ -24,6 +24,8 @@ import contextlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ops
 from .params import ParamStore
 from .tensor import ShapeError, Tensor
@@ -139,10 +141,11 @@ class BatchNorm2d:
     running buffers with momentum 0.1; the running variance stores the same
     biased batch estimate used for normalization. Eval mode hands the
     buffers to the same op, which computes ``(x - m) / sqrt(v + eps)``
-    exactly as training does (no folding into a scale and shift), so
-    freezing immediately after one training pass with momentum 1 reproduces
-    that pass bit for bit on the same batch. Both modes have adjoints for
-    x, gamma and beta.
+    exactly as training does, so freezing immediately after one training
+    pass with momentum 1 reproduces that pass bit for bit on the same
+    batch. Both modes have adjoints for x, gamma and beta. For forward-only
+    inference, ``fold_batch_norms`` instead merges each eval batch norm that
+    follows a conv into that conv's weight and bias.
     """
 
     def __init__(self, store: ParamStore, prefix: str, channels: int,
@@ -221,6 +224,9 @@ class ConvNormAct:
         self.norm = make_norm(store, f"{prefix}.norm", out_channels, norm)
         self.act = _activation(activation) if activation else None
 
+    def fold_norm(self) -> None:
+        self.norm = fold_into_conv(self.conv, self.norm)
+
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         y = self.norm.forward(self.conv.forward(x), train)
         return self.act(y) if self.act else y
@@ -230,6 +236,60 @@ class ConvNormAct:
         if self.act:
             rep.add(f"{self.prefix}.act", ops=batch * self.conv.weight.shape[0] * hw[0] * hw[1])
         return hw
+
+
+def fold_into_conv(conv: Conv2d, norm):
+    """The layer to run after ``conv`` once an eval batch ``norm`` is folded into it.
+
+    With ``s = gamma / sqrt(running_var + eps)`` the conv's weight becomes
+    ``W * s`` and its bias ``(b - running_mean) * s + beta`` (``b`` = 0
+    without one), computed in float64 and cast to the weight's dtype, and an
+    ``Identity`` replaces the norm. The conv gets new tensors outside the
+    store, so the store's arrays, and checkpoints written from them, keep
+    the unfolded values. Any other norm is returned unchanged.
+    """
+    if not isinstance(norm, BatchNorm2d):
+        return norm
+    f64, dtype = np.float64, conv.weight.dtype
+    scale = norm.gamma.data.astype(f64) / np.sqrt(norm.running_var.data.astype(f64) + norm.eps)
+    bias = np.zeros_like(scale) if conv.bias is None else conv.bias.data.astype(f64)
+    shift = (bias - norm.running_mean.data.astype(f64)) * scale + norm.beta.data.astype(f64)
+    weight = np.empty_like(conv.weight.data)
+    np.multiply(conv.weight.data, scale.reshape(-1, 1, 1, 1), out=weight, dtype=f64, casting="same_kind")
+    conv.weight = Tensor(weight)
+    conv.bias = Tensor(shift.astype(dtype))
+    return Identity(norm.prefix)
+
+
+def layers(module):
+    """Every layer object reachable from ``module``, through lists and tuples.
+
+    A layer's attributes are read after it is yielded, so a caller may
+    replace them first.
+    """
+    pending = [module]
+    while pending:
+        m = pending.pop()
+        if isinstance(m, (list, tuple)):
+            pending.extend(m)
+        elif hasattr(m, "forward"):
+            yield m
+            pending.extend(vars(m).values())
+
+
+def fold_batch_norms(module) -> None:
+    """Fold every eval batch norm that directly follows a conv into that
+    conv, in place, for forward-only inference.
+
+    Walks the module tree and calls each layer's ``fold_norm``; pre-norms
+    (``GlobalBranch.norm1``/``norm2``), group norms and ``norm="none"``
+    layers stay as they are. The folded model is for inference only: its
+    folded convs hold tensors outside the store, which neither training nor
+    loading a checkpoint reaches.
+    """
+    for m in layers(module):
+        if hasattr(m, "fold_norm"):
+            m.fold_norm()
 
 
 class GateWeights:
@@ -331,12 +391,12 @@ class WindowAttention:
     response along its rows and columns: each output pixel is its window
     row's mean plus its window column's mean.
 
-    The forward partitions the QKV map once and stays in window layout until
-    one reshape puts the map back. The input is zero-padded at the
-    bottom/right to a multiple of the window size before the QKV projection
-    and cropped back at the end, so window contents never wrap. With
-    window_size 1, one head, and an identity value projection the output is
-    twice the input.
+    The forward partitions the QKV map once and stays in window layout,
+    axis means included, until one permute puts the map back. The input is
+    zero-padded at the bottom/right to a multiple of the window size before
+    the QKV projection and cropped back at the end, so window contents never
+    wrap. With window_size 1, one head, and an identity value projection the
+    output is twice the input.
     """
 
     def __init__(self, store: ParamStore, prefix: str, channels: int,
@@ -380,12 +440,12 @@ class WindowAttention:
                 "height": h, "width": w,
             }
         attended = ops.matmul(probs, ops.permute(v, (0, 2, 1)))
-        # (B, heads, d, hh, ws, ww, ws): axis 4 runs down a window's rows,
-        # axis 6 along its columns.
-        a = ops.permute(ops.reshape(attended, (b, hh, ww, self.heads, ws, ws, d)),
-                        (0, 3, 6, 1, 4, 2, 5))
-        out = ops.add(ops.mean(a, axes=4, keepdims=True), ops.mean(a, axes=6, keepdims=True))
-        out = ops.reshape(out, (b, c, hp, wp))
+        # (B, hh, ww, heads, ws, ws, d): axis 4 runs down a window's rows,
+        # axis 5 along its columns. Both means stride over d, so neither
+        # reduces a short contiguous axis; one permute then yields the map.
+        a = ops.reshape(attended, (b, hh, ww, self.heads, ws, ws, d))
+        out = ops.add(ops.mean(a, axes=4, keepdims=True), ops.mean(a, axes=5, keepdims=True))
+        out = ops.reshape(ops.permute(out, (0, 3, 6, 1, 4, 2, 5)), (b, c, hp, wp))
         if pad_b or pad_r:
             out = ops.crop2d(out, 0, 0, h, w)
         return out
@@ -463,6 +523,9 @@ class LocalBranch:
                                 norm=cfg.norm, activation=cfg.activation)
         self.gate_in = Conv2d(store, f"{prefix}.gate_in", channels, channels, 1, bias=True)
         self.gate_out = Conv2d(store, f"{prefix}.gate_out", channels, channels, 1, bias=True)
+
+    def fold_norm(self) -> None:
+        self.spread_norm = fold_into_conv(self.spread, self.spread_norm)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         t = self.refine.forward(x, train)
@@ -545,6 +608,9 @@ class CFFM:
         self.fuse_pw = ConvNormAct(store, f"{prefix}.fuse.pw", c, c, 1,
                                    norm=cfg.norm, activation=cfg.activation)
         self.eca = ECA(store, f"{prefix}.eca", c, cfg.eca_kernel)
+
+    def fold_norm(self) -> None:
+        self.fuse_dw_norm = fold_into_conv(self.fuse_dw, self.fuse_dw_norm)
 
     def forward(self, deep: Tensor, shallow: Tensor, train: bool = False) -> Tensor:
         if deep.ndim != 4 or shallow.ndim != 4:

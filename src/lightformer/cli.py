@@ -18,7 +18,7 @@ import numpy as np
 from . import efficiency as eff
 from . import fileio, gradcheck, synthetic
 from . import training as tr
-from .blocks import capture
+from .blocks import capture, fold_batch_norms
 from .config import ConfigError, RunConfig, load
 from .network import INPUT_MULTIPLE, build_model, load_checkpoint, save_checkpoint
 from .tensor import Tape, Tensor
@@ -250,6 +250,8 @@ def cmd_infer(cfg: RunConfig, args) -> int:
     out_dir = _prepare_out(cfg, args)
     checkpoint = args.checkpoint or os.path.join(out_dir, "checkpoint.lftc")
     model = _load_model(dcfg, cfg.seed, checkpoint)
+    # Inference runs forward only, so eval batch norms fold into their convs.
+    fold_batch_norms(model)
     num_classes = cfg["model.num_classes"]
 
     def infer_fn(tile: np.ndarray) -> np.ndarray:

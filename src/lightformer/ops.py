@@ -236,17 +236,19 @@ def mean(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 
 def max_reduce(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Max along one axis; the adjoint flows to the first max position (ties)."""
+    """Max along one axis; the adjoint flows to the first max position (ties).
+
+    The forward is ``np.max``; only the adjoint needs the ``argmax``, which
+    is many times slower over a strided axis.
+    """
     axis = _norm_axis("max_reduce", axis, x.ndim)
-    idx = np.argmax(x.data, axis=axis)
-    y = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
-    if not keepdims:
-        y = np.squeeze(y, axis=axis)
+    y = np.asarray(x.data.max(axis=axis, keepdims=keepdims))
 
     def backward(g):
+        idx = np.expand_dims(np.argmax(x.data, axis=axis), axis)
         gx = np.zeros_like(x.data)
         g_k = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), g_k, axis=axis)
+        np.put_along_axis(gx, idx, g_k, axis=axis)
         return (gx,)
 
     return _result("max_reduce", (x,), y, backward)
@@ -433,9 +435,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
         if bias.shape != (Cout,):
             raise ShapeError(f"conv2d: bias shape {bias.shape} != ({Cout},)")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     if groups == Cin == Cout:
-        return _conv2d_depthwise(x, weight, bias, xp, (sh, sw), (ph, pw), (Ho, Wo))
+        return _conv2d_depthwise(x, weight, bias, (sh, sw), (ph, pw), (Ho, Wo))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     Cout_g, K, N = Cout // groups, Cin_g * kh * kw, Ho * Wo
     padded_shape = xp.shape  # the adjoint must not keep xp alive
     # Row (c, u, v) of the column buffer is input channel c seen through tap
@@ -472,41 +474,59 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     return _result("conv2d", inputs, y, backward)
 
 
-def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, xp, stride, padding, out_hw) -> Tensor:
-    """conv2d for groups == Cin == Cout: a multiply-accumulate per tap over strided views of xp.
+def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, out_hw) -> Tensor:
+    """conv2d for groups == Cin == Cout: a multiply-accumulate per tap over views of the padded input.
 
-    Nothing is copied per tap. The forward and the input adjoint add one
-    product per tap in row-major tap order, the same floating-point
-    operations as a per-tap grouped conv, so they match one bit for bit.
-    The weight adjoint of a tap is an ``einsum`` reduction of the output
-    adjoint against that tap's strided view, which matches a per-tap matmul
-    only to rounding.
+    The padded input is stored with each (b, c) plane flattened, so at
+    stride 1 a tap's view is one flat slice starting at ``u*Wp + v`` and
+    read as Ho full padded rows: numpy's inner loop then runs over the whole
+    slice instead of one Wo-long row at a time. The last kw - 1 columns of
+    each such row wrap into the next row and are cropped when a channel
+    block is copied out. A stride other than 1 reads every ``sw``-th column
+    of rows ``sh`` padded rows apart, Wo of them. Nothing is copied per tap.
+    The forward and the input adjoint add one product per tap in row-major
+    tap order, the same floating-point operations as a per-tap grouped conv,
+    so they match one bit for bit. The weight adjoint of a tap is an
+    ``einsum`` reduction of the output adjoint against that tap's strided
+    view, which matches a per-tap matmul only to rounding.
     """
     (sh, sw), (ph, pw), (Ho, Wo) = stride, padding, out_hw
     B, C, H, W = x.shape
     kh, kw = weight.shape[2:]
+    Hp, Wp = H + 2 * ph, W + 2 * pw
     wt = weight.data[:, 0]
+    # Slack past the last plane keeps the last tap's Ho*sh rows in bounds.
+    flat = np.zeros((B, C, Hp * Wp + (sh - 1) * Wp + kw - 1), dtype=x.dtype)
+    xp = flat[:, :, : Hp * Wp].reshape(B, C, Hp, Wp)
+    xp[:, :, ph : ph + H, pw : pw + W] = x.data
+    row = Wp if (sh, sw) == (1, 1) else Wo
 
     def tap(u, v):
         return (slice(None), slice(None), slice(u, u + sh * (Ho - 1) + 1, sh), slice(v, v + sw * (Wo - 1) + 1, sw))
 
-    out = np.zeros((B, C, Ho, Wo), dtype=x.dtype)
-    # Channel blocks of about 256 KiB keep their slices of out, xp and the
-    # product in cache across all taps.
-    step = max(1, (1 << 18) // out[:, :1].nbytes)
-    prod = np.empty_like(out[:, :step])
+    out = np.empty((B, C, Ho, Wo), dtype=x.dtype)
+    # Channel blocks of about 256 KiB of output keep their slices of the
+    # accumulator, the input and the product in cache across all taps.
+    step = min(C, max(1, (1 << 18) // out[:, :1].nbytes))
+    acc_buf = np.empty((B, step, Ho, row), dtype=x.dtype)
+    prod = np.empty_like(acc_buf)
     for c in range(0, C, step):
-        acc, xc, wc = out[:, c : c + step], xp[:, c : c + step], wt[c : c + step]
-        pc = prod[:, : acc.shape[1]]
+        xc, wc = flat[:, c : c + step], wt[c : c + step]
+        n = xc.shape[1]
+        acc, pc = acc_buf[:, :n], prod[:, :n]
+        acc.fill(0)
         for u in range(kh):
             for v in range(kw):
-                acc += np.multiply(wc[:, u, v].reshape(1, -1, 1, 1), xc[tap(u, v)], out=pc)
+                s = u * Wp + v
+                rows = xc[:, :, s : s + Ho * sh * Wp].reshape(B, n, Ho, sh * Wp)
+                acc += np.multiply(wc[:, u, v].reshape(1, -1, 1, 1), rows[..., : row * sw : sw], out=pc)
+        out[:, c : c + n] = acc[..., :Wo]
     if bias is not None:
         out += bias.data.reshape(1, C, 1, 1)
 
     def backward(g):
         gw = np.empty_like(wt)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(xp.shape, dtype=x.dtype)
         prod = np.empty_like(g)
         for u in range(kh):
             for v in range(kw):

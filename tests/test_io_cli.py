@@ -427,6 +427,26 @@ class TestCliInferAndAttn:
         assert echoed["infer.window"] == 32
         assert (trained / "dump-attn.ini").exists()
 
+    def test_only_infer_folds_batch_norms(self, trained, tmp_path, monkeypatch):
+        """infer runs the six attention pre-norms per forward; dump-attn all 36."""
+        from lightformer import network, ops
+        calls = {"norm2d": 0, "forward": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(ops, "norm2d", counting("norm2d", ops.norm2d))
+        monkeypatch.setattr(network.Model, "forward", counting("forward", network.Model.forward))
+        scene = self._write_input(tmp_path)
+        assert run_cli("infer", str(scene), "--out", str(trained), *TINY) == 0
+        assert calls["forward"] >= 1 and calls["norm2d"] == 6 * calls["forward"]
+        calls.update(norm2d=0, forward=0)
+        assert run_cli("dump-attn", str(scene), "--out", str(trained), *TINY) == 0
+        assert calls == {"norm2d": 36, "forward": 1}
+
     def test_infer_missing_checkpoint_is_runtime_error(self, tmp_path):
         scene = self._write_input(tmp_path)
         assert run_cli("infer", str(scene), "--out", str(tmp_path / "none"), *TINY) == 1

@@ -6,7 +6,8 @@ import pytest
 
 from lightformer import network as net
 from lightformer import training as tr
-from lightformer.blocks import BatchNorm2d, BlockConfig
+from lightformer.blocks import BatchNorm2d, BlockConfig, Conv2d, Identity, fold_batch_norms, layers
+from lightformer.config import load as load_config
 from lightformer.rng import stream
 from lightformer.tensor import ShapeError, Tape, Tensor
 
@@ -225,3 +226,71 @@ class TestCheckpoints:
         net.load_checkpoint(clone.store, path)
         got, _ = clone.forward(x, train=False)
         np.testing.assert_array_equal(got.data, expected.data)
+
+
+class TestBatchNormFold:
+    """``fold_batch_norms``, which ``infer`` applies to the model it loads."""
+
+    @staticmethod
+    def _default_model(dtype=np.float32):
+        """The run config's model with random batch-norm parameters and statistics."""
+        model = net.build_model(load_config(None, []).decoder_config(), seed=21, dtype=dtype)
+        rng = stream(22, "test.fold")
+        for bn in (m for m in layers(model) if isinstance(m, BatchNorm2d)):
+            c = bn.channels
+            bn.gamma.data = rng.uniform(0.5, 2.0, c).astype(dtype)
+            bn.beta.data = rng.standard_normal(c).astype(dtype)
+            bn.running_mean.data = rng.standard_normal(c).astype(dtype)
+            bn.running_var.data = rng.uniform(0.5, 2.0, c).astype(dtype)
+        return model
+
+    def test_folded_logits_match_in_float64(self):
+        model = self._default_model(np.float64)
+        x = Tensor(stream(23, "test.fold.x").standard_normal((2, 3, 64, 64)))
+        expected, _ = model.forward(x, train=False)
+        fold_batch_norms(model)
+        got, _ = model.forward(x, train=False)
+        np.testing.assert_allclose(got.data, expected.data, rtol=1e-12, atol=1e-12)
+
+    def test_float32_fold_is_the_float64_fold_rounded(self):
+        """The fold runs in float64 whatever the model's dtype."""
+        narrow = self._default_model()
+        wide = net.build_model(load_config(None, []).decoder_config(), seed=0, dtype=np.float64)
+        wide.store.load_state(narrow.store.state_arrays())
+        fold_batch_norms(narrow)
+        fold_batch_norms(wide)
+        pairs = [(a, b) for a, b in zip(layers(narrow), layers(wide)) if isinstance(a, Conv2d)]
+        assert len(pairs) > 30
+        for a, b in pairs:
+            assert a.weight.data.tobytes() == b.weight.data.astype(np.float32).tobytes(), a.prefix
+            if a.bias is not None:
+                assert a.bias.data.tobytes() == b.bias.data.astype(np.float32).tobytes(), a.prefix
+
+    def test_folds_every_norm_after_a_conv_and_keeps_the_pre_norms(self):
+        model = self._default_model()
+        norms = {m.prefix for m in layers(model) if isinstance(m, BatchNorm2d)}
+        fold_batch_norms(model)
+        found = list(layers(model))
+        kept = {m.prefix for m in found if isinstance(m, BatchNorm2d)}
+        folded = {m.prefix for m in found if isinstance(m, Identity)}
+        assert len(norms) == 36 and len(folded) == 30
+        assert kept == {f"decoder.lcrm{i}.global.norm{j}" for i in (1, 2, 3) for j in (1, 2)}
+        assert folded | kept == norms
+
+    def test_store_arrays_untouched(self):
+        model = self._default_model()
+        before = {name: a.tobytes() for name, a in model.store.state_arrays().items()}
+        fold_batch_norms(model)
+        assert {name: a.tobytes() for name, a in model.store.state_arrays().items()} == before
+
+    @pytest.mark.parametrize("norm", ["group", "none"])
+    def test_other_norms_left_alone(self, norm):
+        model = net.build_model(tiny_config(block=BlockConfig(channels=4, window_size=2, heads=2,
+                                                              norm=norm)), seed=24)
+
+        def bindings():
+            return [(id(m), [(k, id(v)) for k, v in vars(m).items()]) for m in layers(model)]
+
+        before = bindings()
+        fold_batch_norms(model)
+        assert bindings() == before

@@ -173,29 +173,44 @@ def test_conv2d_adjoint_matches_finite_differences(geometry, use_bias):
     assert result.ok, str(result)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv2d_depthwise_bitwise_matches_grouped_path(dtype):
+# The 3x5 stride-2 case keeps its original ids; stride 1 reads full rows.
+# In the 7x7 case a few weight gradients nearly cancel, so only its weight
+# check adds a floor of rtol times the largest weight gradient.
+DEPTHWISE_PATH_CASES = [
+    pytest.param(dtype, kernel, stride, padding, floor, id=f"{tag}{np.dtype(dtype).name}")
+    for tag, kernel, stride, padding, floor in (("", (3, 5), 2, (1, 2), False),
+                                                ("7x7-stride1-", (7, 7), 1, (3, 3), True),
+                                                ("3x5-stride1-", (3, 5), 1, (1, 2), False))
+    for dtype in (np.float32, np.float64)
+]
+
+
+@pytest.mark.parametrize("dtype,kernel,stride,padding,floor", DEPTHWISE_PATH_CASES)
+def test_conv2d_depthwise_bitwise_matches_grouped_path(dtype, kernel, stride, padding, floor):
     # Cout = 2*Cin in the per-tap grouped oracle. With the odd filters zeroed,
     # its even channels make the same products and sums as the depthwise path;
     # only the weight adjoint's dot products may round differently.
     rng = stream(14, "conv.paths", np.dtype(dtype).name)
     C = 5
     x = Tensor(rng.standard_normal((2, C, 9, 11)), dtype=dtype, requires_grad=True)
-    w = Tensor(rng.standard_normal((C, 1, 3, 5)), dtype=dtype, requires_grad=True)
+    w = Tensor(rng.standard_normal((C, 1, *kernel)), dtype=dtype, requires_grad=True)
     b = Tensor(rng.standard_normal((C,)), dtype=dtype)
-    direction = rng.standard_normal((2, C, 5, 6)).astype(dtype)
-    w2 = np.zeros((2 * C, 1, 3, 5), dtype=dtype)
+    out_hw = tuple((n + 2 * p - k) // stride + 1 for n, p, k in zip((9, 11), padding, kernel))
+    direction = rng.standard_normal((2, C, *out_hw)).astype(dtype)
+    w2 = np.zeros((2 * C, 1, *kernel), dtype=dtype)
     b2 = np.zeros(2 * C, dtype=dtype)
-    direction2 = np.zeros((2, 2 * C, 5, 6), dtype=dtype)
+    direction2 = np.zeros((2, 2 * C, *out_hw), dtype=dtype)
     w2[0::2], b2[0::2], direction2[:, 0::2] = w.data, b.data, direction
     with Tape() as tape:
-        y = ops.conv2d(x, w, b, stride=2, padding=(1, 2), groups=C)
+        y = ops.conv2d(x, w, b, stride=stride, padding=padding, groups=C)
         loss = ops.sum_(ops.mul(y, Tensor(direction)))
     grads = tape.backward(loss)
-    y2, gx2, gw2, _ = tap_conv2d(x.data, w2, b2, direction2, stride=2, padding=(1, 2), groups=C)
+    y2, gx2, gw2, _ = tap_conv2d(x.data, w2, b2, direction2, stride=stride, padding=padding, groups=C)
     np.testing.assert_array_equal(y.data, y2[:, 0::2])
     np.testing.assert_array_equal(grads[x], gx2)
-    np.testing.assert_allclose(grads[w], gw2[0::2], rtol=1e-5 if dtype == np.float32 else 1e-12)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    atol = tol * np.abs(gw2).max() if floor else 0
+    np.testing.assert_allclose(grads[w], gw2[0::2], rtol=tol, atol=atol)
 
 
 def test_conv2d_1x1_adjoint_leaves_input_intact():
@@ -401,6 +416,25 @@ class TestElementwise:
         x = Tensor(np.array([[1.0, 5.0, 2.0], [4.0, 0.0, 4.0]], dtype=np.float32))
         out = ops.max_reduce(x, axis=1)
         np.testing.assert_allclose(out.data, [5.0, 4.0])
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_max_reduce_is_np_max(self, axis, keepdims):
+        x = randt(stream(16, "max", str(axis), str(keepdims)), (3, 5, 4, 6))
+        out = ops.max_reduce(x, axis=axis, keepdims=keepdims)
+        ref = np.max(x.data, axis=axis, keepdims=keepdims)
+        assert out.data.shape == ref.shape and out.dtype == ref.dtype
+        assert out.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_max_reduce_tie_adjoint_goes_to_first_max(self, keepdims):
+        x = Tensor(np.array([[4.0, 0.0, 4.0], [1.0, 7.0, 7.0]]), requires_grad=True)
+        with Tape() as tape:
+            out = ops.max_reduce(x, axis=1, keepdims=keepdims)
+        g = np.array([[2.0], [3.0]], dtype=np.float32)
+        (gx,) = tape.nodes[-1].backward(g if keepdims else g[:, 0])
+        np.testing.assert_array_equal(out.data.ravel(), [4.0, 7.0])
+        np.testing.assert_array_equal(gx, [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
 
 
 # (in_hw, out_hw): the decoder's 2x CFFM, 4x head and 32x aux-head resizes,
