@@ -340,13 +340,14 @@ def pad2d(x: Tensor, pad) -> Tensor:
         raise ShapeError(f"pad2d: expected rank-4 input, got {x.shape}")
     if min(top, bottom, left, right) < 0:
         raise ShapeError(f"pad2d: negative padding {pad}")
-    widths = ((0, 0), (0, 0), (top, bottom), (left, right))
-    H, W = x.shape[2], x.shape[3]
+    B, C, H, W = x.shape
+    y = np.zeros((B, C, top + H + bottom, left + W + right), dtype=x.dtype)
+    y[:, :, top : top + H, left : left + W] = x.data
 
     def backward(g):
         return (np.ascontiguousarray(g[:, :, top : top + H, left : left + W]),)
 
-    return _result("pad2d", (x,), np.pad(x.data, widths), backward)
+    return _result("pad2d", (x,), y, backward)
 
 
 def crop2d(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
@@ -405,9 +406,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     of shape (B, groups, Cin/groups*kh*kw, H'*W') copied from a strided view
     of the padded input, and one ``np.matmul`` with the weight viewed as
     (groups, Cout/groups, Cin/groups*kh*kw). The adjoint computes the weight
-    gradient from the buffer, then overwrites the buffer with the column
-    adjoint and scatters it back onto the input with one strided add per
-    tap (col2im). The GEMMs round differently from a per-tap accumulation.
+    gradient ``gw = Σ_b g[b] @ col[b]ᵀ`` summed in batch order: as one
+    batched GEMM summed over the batch while its B products fit in 256 KiB,
+    else one sample at a time into ``gw``, the same sums in the same order.
+    It then overwrites the buffer with the column adjoint and scatters it
+    back onto the input with one strided add per tap (col2im). An input that
+    does not require a gradient gets ``None``, and neither the column
+    adjoint nor col2im runs. The GEMMs round differently from a per-tap
+    accumulation.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -437,7 +443,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
 
     if groups == Cin == Cout:
         return _conv2d_depthwise(x, weight, bias, (sh, sw), (ph, pw), (Ho, Wo))
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+    xp = x.data
+    if ph or pw:
+        xp = np.zeros((B, Cin, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
+        xp[:, :, ph : ph + H, pw : pw + W] = x.data
     Cout_g, K, N = Cout // groups, Cin_g * kh * kw, Ho * Wo
     padded_shape = xp.shape  # the adjoint must not keep xp alive
     # Row (c, u, v) of the column buffer is input channel c seen through tap
@@ -455,17 +464,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
 
     def backward(g):
         gg = g.reshape(B, groups, Cout_g, N)
-        gw = np.matmul(gg, col.swapaxes(-1, -2)).sum(axis=0)
-        # col is dead once gw is done, so the column adjoint overwrites it
-        # (this makes the closure single-use, as the tape already is).
-        gcol = np.matmul(wg.swapaxes(-1, -2), gg, out=col if col.flags.writeable else None)
-        gcol = gcol.reshape(B, Cin, kh, kw, Ho, Wo)
-        gxp = np.zeros(padded_shape, dtype=x.dtype)
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw] += gcol[:, :, u, v]
-        gx = gxp[:, :, ph : ph + H, pw : pw + W]
-        grads = [np.ascontiguousarray(gx), gw.reshape(Cout, Cin_g, kh, kw)]
+        colT = col.swapaxes(-1, -2)
+        if B * Cout * K * g.itemsize <= 1 << 18:
+            gw = np.matmul(gg, colT).sum(axis=0)
+        else:
+            # The same sums, one sample at a time, without the batch of products.
+            gw = np.matmul(gg[0], colT[0])
+            part = np.empty_like(gw)
+            for b in range(1, B):
+                gw += np.matmul(gg[b], colT[b], out=part)
+        gx = None
+        if x.requires_grad:
+            # col is dead once gw is done, so the column adjoint overwrites it
+            # (this makes the closure single-use, as the tape already is).
+            gcol = np.matmul(wg.swapaxes(-1, -2), gg, out=col if col.flags.writeable else None)
+            gcol = gcol.reshape(B, Cin, kh, kw, Ho, Wo)
+            gxp = np.zeros(padded_shape, dtype=x.dtype)
+            for u in range(kh):
+                for v in range(kw):
+                    gxp[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw] += gcol[:, :, u, v]
+            gx = np.ascontiguousarray(gxp[:, :, ph : ph + H, pw : pw + W])
+        grads = [gx, gw.reshape(Cout, Cin_g, kh, kw)]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
@@ -474,21 +493,69 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     return _result("conv2d", inputs, y, backward)
 
 
-def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, out_hw) -> Tensor:
-    """conv2d for groups == Cin == Cout: a multiply-accumulate per tap over views of the padded input.
+def _depthwise_mac(src, row_len, weights, offsets, out_hw, stride):
+    """``out[b, c, i, j] = Σ_t weights[c, t] · src[b, c, offsets[t] + i·sh·row_len + j·sw]``.
 
-    The padded input is stored with each (b, c) plane flattened, so at
-    stride 1 a tap's view is one flat slice starting at ``u*Wp + v`` and
-    read as Ho full padded rows: numpy's inner loop then runs over the whole
-    slice instead of one Wo-long row at a time. The last kw - 1 columns of
-    each such row wrap into the next row and are cropped when a channel
+    ``src`` is (B, C, L), each plane flattened with rows ``row_len`` apart
+    and long enough for every tap to read Ho·sh rows; ``out`` is (B, C, Ho,
+    Wo), returned. The taps are added in the order given into a zeroed accumulator,
+    one rounded product at a time. At stride 1 a tap's view is one flat
+    slice read as Ho full rows, so numpy's inner loop runs over the whole
+    slice instead of one Wo-long row at a time; the last row_len - Wo columns
+    of each such row wrap into the next row and are cropped when a channel
     block is copied out. A stride other than 1 reads every ``sw``-th column
-    of rows ``sh`` padded rows apart, Wo of them. Nothing is copied per tap.
-    The forward and the input adjoint add one product per tap in row-major
-    tap order, the same floating-point operations as a per-tap grouped conv,
-    so they match one bit for bit. The weight adjoint of a tap is an
-    ``einsum`` reduction of the output adjoint against that tap's strided
-    view, which matches a per-tap matmul only to rounding.
+    of rows ``sh`` rows apart, Wo of them. Nothing is copied per tap.
+    """
+    B, C = src.shape[:2]
+    (Ho, Wo), (sh, sw) = out_hw, stride
+    row = row_len if (sh, sw) == (1, 1) else Wo
+    out = np.empty((B, C, Ho, Wo), dtype=src.dtype)
+    # Channel blocks of about 256 KiB of output keep their slices of the
+    # accumulator, the source and the product in cache across all taps.
+    step = min(C, max(1, (1 << 18) // out[:, :1].nbytes))
+    acc_buf = np.empty((B, step, Ho, row), dtype=src.dtype)
+    prod = np.empty_like(acc_buf)
+    for c in range(0, C, step):
+        sc, wc = src[:, c : c + step], weights[c : c + step]
+        n = sc.shape[1]
+        acc, pc = acc_buf[:, :n], prod[:, :n]
+        acc.fill(0)
+        for t, s in enumerate(offsets):
+            rows = sc[:, :, s : s + Ho * sh * row_len].reshape(B, n, Ho, sh * row_len)
+            acc += np.multiply(wc[:, t].reshape(1, -1, 1, 1), rows[..., : row * sw : sw], out=pc)
+        out[:, c : c + n] = acc[..., :Wo]
+    return out
+
+
+def _dilated_span(n, s, off, limit):
+    """Slices that place n samples ``s`` apart from ``off`` into [0, limit), dropping the rest.
+
+    Returns ``(destination, source)``.
+    """
+    lo = max(0, -(off // s))
+    hi = max(lo, min(n, -((off - limit) // s)))
+    return slice(off + lo * s, off + hi * s, s), slice(lo, hi)
+
+
+def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, out_hw) -> Tensor:
+    """conv2d for groups == Cin == Cout: a multiply-accumulate per tap over views of zero-padded planes.
+
+    The forward runs ``_depthwise_mac`` over the padded input, tap (u, v)
+    at offset ``u·Wp + v``. The input adjoint is the same kernel run as a
+    gather over the output adjoint g: g is dilated by the stride (its
+    samples ``sh`` rows and ``sw`` columns apart), placed in a zeroed plane
+    of H + kh - 1 rows of Gw = W + kw - 1 that starts kh - 1 - ph rows and
+    kw - 1 - pw columns before it (cropped where the padding is wider than
+    the kernel), and tap (u, v) reads that plane at offset
+    ``(kh−1−u)·Gw + (kw−1−v)``. Once the weight adjoint is done, the
+    forward's padded input is dead, and the plane reuses it when it is large
+    enough. Both directions add one product per tap in row-major tap order,
+    the same floating-point operations as a per-tap grouped conv, so they
+    match one bit for bit: the products the gather adds for taps that miss g
+    are zeros, which leave a sum started at +0 unchanged. The weight adjoint
+    of a tap is an ``einsum`` reduction of g against that tap's strided view
+    of the padded input, which matches a per-tap matmul only to rounding. An
+    input that does not require a gradient gets ``None``.
     """
     (sh, sw), (ph, pw), (Ho, Wo) = stride, padding, out_hw
     B, C, H, W = x.shape
@@ -497,43 +564,34 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, pa
     wt = weight.data[:, 0]
     # Slack past the last plane keeps the last tap's Ho*sh rows in bounds.
     flat = np.zeros((B, C, Hp * Wp + (sh - 1) * Wp + kw - 1), dtype=x.dtype)
-    xp = flat[:, :, : Hp * Wp].reshape(B, C, Hp, Wp)
-    xp[:, :, ph : ph + H, pw : pw + W] = x.data
-    row = Wp if (sh, sw) == (1, 1) else Wo
-
-    def tap(u, v):
-        return (slice(None), slice(None), slice(u, u + sh * (Ho - 1) + 1, sh), slice(v, v + sw * (Wo - 1) + 1, sw))
-
-    out = np.empty((B, C, Ho, Wo), dtype=x.dtype)
-    # Channel blocks of about 256 KiB of output keep their slices of the
-    # accumulator, the input and the product in cache across all taps.
-    step = min(C, max(1, (1 << 18) // out[:, :1].nbytes))
-    acc_buf = np.empty((B, step, Ho, row), dtype=x.dtype)
-    prod = np.empty_like(acc_buf)
-    for c in range(0, C, step):
-        xc, wc = flat[:, c : c + step], wt[c : c + step]
-        n = xc.shape[1]
-        acc, pc = acc_buf[:, :n], prod[:, :n]
-        acc.fill(0)
-        for u in range(kh):
-            for v in range(kw):
-                s = u * Wp + v
-                rows = xc[:, :, s : s + Ho * sh * Wp].reshape(B, n, Ho, sh * Wp)
-                acc += np.multiply(wc[:, u, v].reshape(1, -1, 1, 1), rows[..., : row * sw : sw], out=pc)
-        out[:, c : c + n] = acc[..., :Wo]
+    flat[:, :, : Hp * Wp].reshape(B, C, Hp, Wp)[:, :, ph : ph + H, pw : pw + W] = x.data
+    offsets = [u * Wp + v for u in range(kh) for v in range(kw)]
+    out = _depthwise_mac(flat, Wp, wt.reshape(C, -1), offsets, (Ho, Wo), (sh, sw))
     if bias is not None:
         out += bias.data.reshape(1, C, 1, 1)
 
     def backward(g):
+        xp = flat[:, :, : Hp * Wp].reshape(B, C, Hp, Wp)
         gw = np.empty_like(wt)
-        gxp = np.zeros(xp.shape, dtype=x.dtype)
-        prod = np.empty_like(g)
         for u in range(kh):
             for v in range(kw):
-                gw[:, u, v] = np.einsum("bchw,bchw->c", g, xp[tap(u, v)])
-                gxp[tap(u, v)] += np.multiply(wt[:, u, v].reshape(1, C, 1, 1), g, out=prod)
-        gx = gxp[:, :, ph : ph + H, pw : pw + W]
-        grads = [np.ascontiguousarray(gx), gw.reshape(C, 1, kh, kw)]
+                view = xp[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw]
+                gw[:, u, v] = np.einsum("bchw,bchw->c", g, view)
+        gx = None
+        if x.requires_grad:
+            Gh, Gw = H + kh - 1, W + kw - 1
+            size = B * C * (Gh * Gw + kw - 1)
+            # flat is dead now, so the plane may overwrite it (this makes the
+            # closure single-use, as the tape already is).
+            buf = flat.reshape(-1)[:size] if flat.size >= size else np.empty(size, x.dtype)
+            buf.fill(0)
+            plane = buf.reshape(B, C, -1)
+            rows, g_rows = _dilated_span(Ho, sh, kh - 1 - ph, Gh)
+            cols, g_cols = _dilated_span(Wo, sw, kw - 1 - pw, Gw)
+            plane[:, :, : Gh * Gw].reshape(B, C, Gh, Gw)[:, :, rows, cols] = g[:, :, g_rows, g_cols]
+            offsets = [(kh - 1 - u) * Gw + kw - 1 - v for u in range(kh) for v in range(kw)]
+            gx = _depthwise_mac(plane, Gw, wt.reshape(C, -1), offsets, (H, W), (1, 1))
+        grads = [gx, gw.reshape(C, 1, kh, kw)]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)

@@ -104,12 +104,23 @@ def total_loss(logits: Tensor, aux_logits, labels, train: bool,
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a ParamStore.
+    """Decoupled-weight-decay Adam (Loshchilov & Hutter, 2019) over a ParamStore.
 
     ``lr_groups`` maps name prefixes to base learning rates; the longest
     matching prefix wins and every parameter must match one. Decay is
     applied multiplicatively before the moment update, so one step with a
     zero gradient multiplies a parameter by exactly (1 - lr * wd).
+
+    The state lives in flat buffers. One buffer holds every trainable
+    tensor, laid out one lr group after another (store order within a
+    group), and each tensor's ``.data`` is rebound to its view of it; the
+    moments, the gradient and two scratch arrays are flat too. A step runs
+    in-place ``out=`` ufuncs over one slice per lr group, in the order of
+    the per-tensor formulas, so the bytes are the same as updating each
+    tensor on its own. A tensor whose ``.data`` was rebound since (by
+    ``ParamStore.load_state``, say) is copied back in and rebound at the
+    next step; it must keep its shape and dtype. A non-finite gradient
+    raises ``DivergenceError`` before anything moves.
     """
 
     def __init__(self, store: ParamStore, lr_groups: dict, weight_decay: float = 1e-2,
@@ -120,10 +131,30 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in store.trainable()}
-        self._v = {name: np.zeros_like(t.data) for name, t in store.trainable()}
-        for name, _ in store.trainable():
-            self._base_lr(name)
+        named = store.trainable()
+        dtypes = sorted({t.dtype.name for _, t in named})
+        if len(dtypes) > 1:
+            raise ShapeError(f"AdamW: trainable tensors mix dtypes {dtypes}")
+        members = {}
+        for name, t in named:
+            members.setdefault(self._base_lr(name), []).append((name, t))
+        total = sum(t.size for _, t in named)
+        self._flat, self._m, self._v, self._g, self._s1, self._s2 = (
+            np.zeros(total, dtype=dtypes[0] if dtypes else np.float32) for _ in range(6))
+        self._groups = []  # (base lr, slice of the flat buffers)
+        slots = {}
+        start = 0
+        for lr, group in members.items():
+            begin = start
+            for name, t in group:
+                part = slice(start, start + t.size)
+                view = self._flat[part].reshape(t.shape)
+                view[...] = t.data
+                t.data = view
+                slots[name] = (name, t, view, self._g[part].reshape(t.shape))
+                start += t.size
+            self._groups.append((lr, slice(begin, start)))
+        self._slots = [slots[name] for name, _ in named]  # store order
 
     def _base_lr(self, name: str) -> float:
         best = None
@@ -137,24 +168,41 @@ class AdamW:
 
     def step(self, grads, lr_scale: float = 1.0) -> None:
         """One update from ``{parameter: gradient}``; a missing gradient counts as zero."""
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.store.trainable():
+        t = self.step_count + 1
+        for name, p, view, g_view in self._slots:
+            if p.data is not view:
+                if p.data.shape != view.shape or p.data.dtype != view.dtype:
+                    raise ShapeError(f"AdamW: {name!r} is now {p.data.dtype.name}{list(p.data.shape)}, "
+                                     f"expected {view.dtype.name}{list(view.shape)}")
+                view[...] = p.data
+                p.data = view
             g = grads.get(p)
             if g is None:
-                g = np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise DivergenceError(f"non-finite gradient for {name!r} at step {t}")
-            lr = self._base_lr(name) * lr_scale
-            p.data = p.data * (1.0 - lr * self.weight_decay)
-            m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - lr * update
-            if not np.isfinite(p.data).all():
-                raise DivergenceError(f"non-finite value in {name!r} after step {t}")
+                g_view.fill(0)
+            else:
+                g_view[...] = g
+        if not np.isfinite(self._g).all():
+            name = next(name for name, _, _, g in self._slots if not np.isfinite(g).all())
+            raise DivergenceError(f"non-finite gradient for {name!r} at step {t}")
+        self.step_count = t
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for base_lr, part in self._groups:
+            lr = base_lr * lr_scale
+            p, m, v, g, s1, s2 = (a[part] for a in (self._flat, self._m, self._v, self._g, self._s1, self._s2))
+            np.multiply(p, 1.0 - lr * self.weight_decay, out=p)
+            # m = beta1 * m + (1 - beta1) * g
+            np.add(np.multiply(m, self.beta1, out=m), np.multiply(g, 1.0 - self.beta1, out=s1), out=m)
+            # v = beta2 * v + (1 - beta2) * g * g
+            np.multiply(np.multiply(g, 1.0 - self.beta2, out=s1), g, out=s1)
+            np.add(np.multiply(v, self.beta2, out=v), s1, out=v)
+            # p = p - lr * ((m / bc1) / (sqrt(v / bc2) + eps))
+            np.add(np.sqrt(np.divide(v, bc2, out=s1), out=s1), self.eps, out=s1)
+            np.divide(np.divide(m, bc1, out=s2), s1, out=s2)
+            np.subtract(p, np.multiply(s2, lr, out=s2), out=p)
+        if not np.isfinite(self._flat).all():
+            name = next(name for name, _, p, _ in self._slots if not np.isfinite(p).all())
+            raise DivergenceError(f"non-finite value in {name!r} after step {t}")
 
 
 def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float = 0.0) -> float:

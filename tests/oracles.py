@@ -235,3 +235,29 @@ def naive_norm2d(x, gamma, beta, eps, g, groups=None, stats=None):
         gx = g_centered
     shape = (c,) if groups is None else (b, groups)
     return out, m.reshape(shape), v.reshape(shape), gx.reshape(x.shape), g_gamma, g_beta
+
+
+def adamw_step(params, grads, m, v, t, lrs, lr_scale=1.0, weight_decay=1e-2,
+               betas=(0.9, 0.999), eps=1e-8):
+    """One AdamW step (Loshchilov & Hutter, 2019), one tensor at a time: the
+    update ``training.AdamW.step`` made before it kept its state in flat
+    buffers.
+
+    ``params``, ``m`` and ``v`` map names to arrays; their entries are
+    replaced by the updated arrays. ``grads`` maps names to gradients, a
+    missing one counting as zero, ``lrs`` maps names to base learning rates
+    and ``t`` is the 1-based step number.
+    """
+    beta1, beta2 = betas
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        lr = lrs[name] * lr_scale
+        p = p * (1.0 - lr * weight_decay)
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        params[name] = p - lr * update

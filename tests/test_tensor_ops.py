@@ -110,6 +110,9 @@ CONV_GEOMETRIES = [
     dict(cin=16, cout=4, kernel=(3, 3), stride=2, padding=1),  # K = 144 rows against N = 16 columns
     dict(cin=4, cout=6, kernel=(3, 3), stride=2, padding=1, groups=2),
     dict(cin=3, cout=4, kernel=(3, 3), padding=1, dtype=np.float64),
+    dict(cin=4, cout=4, kernel=(3, 3), groups=4),  # depthwise, unpadded
+    dict(cin=4, cout=4, kernel=(3, 3), padding=3, groups=4),  # padding >= kernel: the adjoint crops g
+    dict(cin=4, cout=4, kernel=(3, 2), stride=2, padding=(3, 2), groups=4, dtype=np.float64),
 ]
 
 
@@ -213,6 +216,58 @@ def test_conv2d_depthwise_bitwise_matches_grouped_path(dtype, kernel, stride, pa
     np.testing.assert_allclose(grads[w], gw2[0::2], rtol=tol, atol=atol)
 
 
+# (kernel, stride, padding): stride 1 and 2, no padding, and padding as
+# wide as the kernel or wider, where the gather crops g instead of padding it.
+DEPTHWISE_GATHER_CASES = [((3, 3), 1, 1), ((7, 7), 1, 3), ((3, 3), 1, 0), ((3, 3), 1, 3),
+                          ((3, 5), 2, (1, 2)), ((3, 3), 2, 0), ((3, 2), (2, 3), (4, 2)), ((1, 3), 1, (0, 1))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,stride,padding", DEPTHWISE_GATHER_CASES)
+def test_conv2d_depthwise_input_adjoint_is_tap_oracle_bitwise(dtype, kernel, stride, padding):
+    # The gather adds w*0 for every tap that misses g, where the oracle
+    # scatters nothing. With negative weights those products are -0; the
+    # bytes must still agree, signed zeros included, also over the region
+    # where g is exactly zero.
+    rng = stream(16, "conv.gather", np.dtype(dtype).name, str((kernel, stride, padding)))
+    C = 6
+    x = Tensor(rng.standard_normal((2, C, 9, 10)), dtype=dtype, requires_grad=True)
+    w = Tensor(rng.standard_normal((C, 1, *kernel)), dtype=dtype, requires_grad=True)
+    w.data[0] = -np.abs(w.data[0])
+    with Tape() as tape:
+        y = ops.conv2d(x, w, None, stride=stride, padding=padding, groups=C)
+    g = rng.standard_normal(y.shape).astype(dtype)
+    g[:, :, : y.shape[2] // 2] = 0.0
+    g[:, 1] = 0.0
+    gx, _ = tape.nodes[-1].backward(g)
+    _, gx_ref, _, _ = tap_conv2d(x.data, w.data, None, g, stride=stride, padding=padding, groups=C)
+    assert gx.shape == gx_ref.shape and gx.dtype == gx_ref.dtype
+    assert gx.tobytes() == gx_ref.tobytes()
+    assert not np.signbit(gx[:, 1]).any()
+
+
+@pytest.mark.parametrize("geometry", [dict(kernel=(3, 3), padding=1, cout=5),
+                                      dict(kernel=(1, 1), cout=5),
+                                      dict(kernel=(3, 3), padding=1, groups=4, cout=4)])
+def test_conv2d_input_without_grad_gets_no_adjoint(geometry):
+    # The weight and bias adjoints must not depend on whether the input
+    # needs one of its own.
+    g = dict(geometry)
+    kernel, cout = g.pop("kernel"), g.pop("cout")
+    rng = stream(17, "conv.nograd", str(sorted(geometry.items())))
+    x_data = rng.standard_normal((3, 4, 6, 7)).astype(np.float32)
+    w = Tensor(rng.standard_normal((cout, 4 // g.get("groups", 1), *kernel)), dtype=np.float32, requires_grad=True)
+    b = Tensor(rng.standard_normal(cout), dtype=np.float32, requires_grad=True)
+    adjoints = []
+    for requires_grad in (False, True):
+        with Tape() as tape:
+            y = ops.conv2d(Tensor(x_data, requires_grad=requires_grad), w, b, **g)
+        adjoints.append(tape.nodes[-1].backward(np.cos(np.arange(y.size, dtype=np.float32)).reshape(y.shape)))
+    (gx_off, gw_off, gb_off), (gx_on, gw_on, gb_on) = adjoints
+    assert gx_off is None and gx_on.shape == x_data.shape
+    assert gw_off.tobytes() == gw_on.tobytes() and gb_off.tobytes() == gb_on.tobytes()
+
+
 def test_conv2d_1x1_adjoint_leaves_input_intact():
     # An unpadded stride-1 1x1 conv's column buffer is x.data itself; the
     # adjoint must not write the column adjoint into it.
@@ -261,6 +316,27 @@ def test_conv2d_depthwise_forward_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * x.data.nbytes
+
+
+def test_conv2d_depthwise_adjoint_memory():
+    # Taped, a depthwise conv holds its padded input for the weight adjoint.
+    # The input adjoint's zero-padded g then reuses that dead buffer, so the
+    # peak is the padded input, the output, the input adjoint and two
+    # channel blocks of about 256 KiB, not another padded plane on top.
+    B, C, H, W = 2, 16, 64, 64
+    x = Tensor(np.ones((B, C, H, W), dtype=np.float32), requires_grad=True)
+    w = Tensor(np.ones((C, 1, 7, 7), dtype=np.float32), requires_grad=True)
+    g = np.ones((B, C, H, W), dtype=np.float32)
+    padded_bytes = B * C * ((H + 6) * (W + 6) + 6) * 4
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            ops.conv2d(x, w, None, padding=3, groups=C)
+        tape.nodes[-1].backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < padded_bytes + 2 * x.data.nbytes + 2.5 * 2**18
 
 
 def test_conv2d_shape_errors():

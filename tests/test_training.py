@@ -12,6 +12,8 @@ from lightformer import training as tr
 from lightformer.rng import stream
 from lightformer.tensor import ShapeError, Tape, Tensor
 
+from oracles import adamw_step
+
 K = 4
 
 
@@ -137,11 +139,11 @@ class TestTotalLoss:
             assert np.isfinite(total) and total >= 0.0
 
 
-def _store_of(values):
+def _store_of(values, dtype=np.float64):
     from lightformer.params import ParamStore
     store = ParamStore()
     for name, arr in values.items():
-        a = np.asarray(arr, dtype=np.float64)
+        a = np.asarray(arr, dtype=dtype)
         store.add(name, a.shape, ("zeros",)).data = a
     return store
 
@@ -207,6 +209,90 @@ class TestAdamW:
             vh = v / (1.0 - 0.999 ** t)
             theta = theta - 0.01 * mh / (math.sqrt(vh) + 1e-8)
         assert abs(store["decoder.w"].data[0] - theta) < 1e-14
+
+    # Store order interleaves the two lr groups, so the flat layout reorders
+    # the tensors; "decoder.skip" never receives a gradient.
+    SHAPES = {"encoder.a": (3, 4), "decoder.b": (5,), "encoder.c": (2, 1, 3), "decoder.skip": (4,),
+              "decoder.d": (2, 2)}
+    LRS = {"encoder": 0.01, "decoder": 0.03}
+
+    def _fresh(self, dtype):
+        """An optimizer and the oracle's (params, m, v, lrs) in the same state."""
+        rng = stream(30, "adamw.init", np.dtype(dtype).name)
+        values = {name: rng.standard_normal(shape).astype(dtype) for name, shape in self.SHAPES.items()}
+        store = _store_of({name: value.copy() for name, value in values.items()}, dtype)
+        opt = tr.AdamW(store, self.LRS, weight_decay=0.05)
+        lrs = {name: self.LRS[name.split(".")[0]] for name in values}
+        zeros = {name: np.zeros_like(value) for name, value in values.items()}
+        return store, opt, (values, dict(zeros), dict(zeros), lrs)
+
+    @staticmethod
+    def _step(opt, store, grads, lr_scale=1.0):
+        opt.step({store[name]: g for name, g in grads.items()}, lr_scale)
+
+    def _grads(self, seed, step, dtype, scale=1.0):
+        rng = stream(seed, "adamw.grad", str(step), np.dtype(dtype).name)
+        return {name: (rng.standard_normal(shape) * scale).astype(dtype)
+                for name, shape in self.SHAPES.items() if name != "decoder.skip"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_twenty_steps_match_per_tensor_oracle_bytes(self, dtype):
+        store, opt, (params, m, v, lrs) = self._fresh(dtype)
+        for t in range(1, 21):
+            grads = self._grads(31, t, dtype, scale=10.0 ** (t % 5 - 2))
+            lr_scale = tr.cosine_lr(t - 1, 20, 1.0, 0.1)
+            self._step(opt, store, grads, lr_scale)
+            adamw_step(params, grads, m, v, t, lrs, lr_scale=lr_scale, weight_decay=0.05)
+            for name, ref in params.items():
+                got = store[name].data
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), f"{name} differs at step {t}"
+
+    def test_load_state_after_construction_is_updated(self):
+        store, opt, (params, m, v, lrs) = self._fresh(np.float32)
+        grads = self._grads(32, 1, np.float32)
+        self._step(opt, store, grads)
+        adamw_step(params, grads, m, v, 1, lrs, weight_decay=0.05)
+        loaded = {name: a + np.float32(0.5) for name, a in params.items()}
+        store.load_state(loaded)
+        params = {name: a.copy() for name, a in loaded.items()}
+        grads = self._grads(32, 2, np.float32)
+        self._step(opt, store, grads)
+        adamw_step(params, grads, m, v, 2, lrs, weight_decay=0.05)
+        for name, ref in params.items():
+            assert store[name].data.tobytes() == ref.tobytes(), name
+
+    def test_one_dtype_for_the_flat_buffer(self):
+        store = _store_of({"decoder.a": [1.0], "decoder.b": [2.0]})
+        store["decoder.b"].data = np.array([2.0], dtype=np.float32)
+        with pytest.raises(ShapeError, match="mix dtypes"):
+            tr.AdamW(store, {"decoder": 0.1})
+        store["decoder.b"].data = np.array([2.0])
+        opt = tr.AdamW(store, {"decoder": 0.1})
+        store["decoder.a"].data = np.array([1.0], dtype=np.float32)
+        with pytest.raises(ShapeError, match=r"'decoder\.a' is now float32\[1\], expected float64\[1\]"):
+            opt.step({})
+
+    def test_nonfinite_gradient_moves_nothing(self):
+        store, opt, (params, m, v, lrs) = self._fresh(np.float64)
+        grads = self._grads(33, 1, np.float64)
+        self._step(opt, store, grads)
+        adamw_step(params, grads, m, v, 1, lrs, weight_decay=0.05)
+        before = [a.tobytes() for a in (opt._flat, opt._m, opt._v)]
+        bad = self._grads(33, 2, np.float64)
+        bad["decoder.d"][0, 1] = np.inf
+        bad["encoder.c"][1, 0, 2] = np.nan  # first in store order
+        with pytest.raises(tr.DivergenceError, match=r"'encoder\.c' at step 2"):
+            self._step(opt, store, bad)
+        assert [a.tobytes() for a in (opt._flat, opt._m, opt._v)] == before
+        for name, ref in params.items():
+            assert store[name].data.tobytes() == ref.tobytes(), name
+        # The failed step did not count: the next one is step 2.
+        grads = self._grads(33, 3, np.float64)
+        self._step(opt, store, grads)
+        adamw_step(params, grads, m, v, 2, lrs, weight_decay=0.05)
+        for name, ref in params.items():
+            assert store[name].data.tobytes() == ref.tobytes(), name
 
 
 def test_train_step_memory():
