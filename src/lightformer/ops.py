@@ -406,14 +406,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     of shape (B, groups, Cin/groups*kh*kw, H'*W') copied from a strided view
     of the padded input, and one ``np.matmul`` with the weight viewed as
     (groups, Cout/groups, Cin/groups*kh*kw). The adjoint computes the weight
-    gradient ``gw = Σ_b g[b] @ col[b]ᵀ`` summed in batch order: as one
-    batched GEMM summed over the batch while its B products fit in 256 KiB,
-    else one sample at a time into ``gw``, the same sums in the same order.
-    It then overwrites the buffer with the column adjoint and scatters it
-    back onto the input with one strided add per tap (col2im). An input that
-    does not require a gradient gets ``None``, and neither the column
-    adjoint nor col2im runs. The GEMMs round differently from a per-tap
-    accumulation.
+    gradient as one batched GEMM summed over the batch, then overwrites the
+    buffer with the column adjoint and scatters it back onto the input with
+    one strided add per tap (col2im). An input that does not require a
+    gradient gets ``None``, and neither the column adjoint nor col2im runs.
+    The GEMMs round differently from a per-tap accumulation.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -464,15 +461,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
 
     def backward(g):
         gg = g.reshape(B, groups, Cout_g, N)
-        colT = col.swapaxes(-1, -2)
-        if B * Cout * K * g.itemsize <= 1 << 18:
-            gw = np.matmul(gg, colT).sum(axis=0)
-        else:
-            # The same sums, one sample at a time, without the batch of products.
-            gw = np.matmul(gg[0], colT[0])
-            part = np.empty_like(gw)
-            for b in range(1, B):
-                gw += np.matmul(gg[b], colT[b], out=part)
+        gw = np.matmul(gg, col.swapaxes(-1, -2)).sum(axis=0)
         gx = None
         if x.requires_grad:
             # col is dead once gw is done, so the column adjoint overwrites it

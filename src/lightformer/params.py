@@ -80,8 +80,12 @@ class ParamStore:
         return self._entries[name].tensor
 
     def state_arrays(self) -> dict:
-        """name -> array snapshot of params and buffers, in registration order."""
-        return {name: e.tensor.data for name, e in self._entries.items()}
+        """name -> a copy of each param and buffer array, in registration order.
+
+        The copies stay a snapshot: ``training.AdamW`` updates a parameter's
+        ``.data`` in place at every step.
+        """
+        return {name: e.tensor.data.copy() for name, e in self._entries.items()}
 
     def load_state(self, arrays: dict) -> None:
         """Replace entry data from ``arrays``; names and shapes must match exactly."""

@@ -114,14 +114,24 @@ class AdamW:
     The state lives in flat buffers. One buffer holds every trainable
     tensor, laid out one lr group after another (store order within a
     group), and each tensor's ``.data`` is rebound to its view of it; the
-    moments, the gradient and two scratch arrays are flat too. A step runs
-    in-place ``out=`` ufuncs over one slice per lr group, in the order of
-    the per-tensor formulas, so the bytes are the same as updating each
-    tensor on its own. A tensor whose ``.data`` was rebound since (by
+    moments are flat too. These views are live: every step overwrites them
+    in place, so a reference to a parameter's ``.data`` follows the
+    training (``ParamStore.state_arrays`` returns copies). A step walks
+    each lr group in 256 KiB blocks. It copies a block's share of the
+    gradients into a block-sized buffer, then runs in-place ``out=`` ufuncs
+    with one block-sized scratch array, in the order of the per-tensor
+    formulas, so the bytes are the same as updating each tensor on its own.
+    Between steps the optimizer holds the parameters and the two moments,
+    as a per-tensor update would.
+    A tensor whose ``.data`` was rebound since (by
     ``ParamStore.load_state``, say) is copied back in and rebound at the
     next step; it must keep its shape and dtype. A non-finite gradient
     raises ``DivergenceError`` before anything moves.
     """
+
+    # A step walks the flat buffers in blocks of this many bytes, so that a
+    # block's slices of all five arrays stay in cache between its ufuncs.
+    _BLOCK_BYTES = 1 << 18
 
     def __init__(self, store: ParamStore, lr_groups: dict, weight_decay: float = 1e-2,
                  betas: tuple = (0.9, 0.999), eps: float = 1e-8):
@@ -139,22 +149,31 @@ class AdamW:
         for name, t in named:
             members.setdefault(self._base_lr(name), []).append((name, t))
         total = sum(t.size for _, t in named)
-        self._flat, self._m, self._v, self._g, self._s1, self._s2 = (
-            np.zeros(total, dtype=dtypes[0] if dtypes else np.float32) for _ in range(6))
-        self._groups = []  # (base lr, slice of the flat buffers)
-        slots = {}
+        dtype = np.dtype(dtypes[0] if dtypes else np.float32)
+        self._flat, self._m, self._v = (np.zeros(total, dtype=dtype) for _ in range(3))
+        block = self._BLOCK_BYTES // dtype.itemsize
+        self._block_len = min(block, total)
+        # (base lr, slice of the flat buffers, [(slot, slice of its raveled
+        # gradient, slice of the block)])
+        self._blocks = []
+        slot_of = {name: i for i, (name, _) in enumerate(named)}
+        views = {}
         start = 0
         for lr, group in members.items():
             begin = start
+            spans = []
             for name, t in group:
-                part = slice(start, start + t.size)
-                view = self._flat[part].reshape(t.shape)
+                view = self._flat[start : start + t.size].reshape(t.shape)
                 view[...] = t.data
-                t.data = view
-                slots[name] = (name, t, view, self._g[part].reshape(t.shape))
+                t.data = views[name] = view
+                spans.append((slot_of[name], start, start + t.size))
                 start += t.size
-            self._groups.append((lr, slice(begin, start)))
-        self._slots = [slots[name] for name, _ in named]  # store order
+            for b0 in range(begin, start, block):
+                b1 = min(b0 + block, start)
+                pieces = [(i, slice(max(lo, b0) - lo, min(hi, b1) - lo), slice(max(lo, b0) - b0, min(hi, b1) - b0))
+                          for i, lo, hi in spans if lo < b1 and hi > b0]
+                self._blocks.append((lr, slice(b0, b1), pieces))
+        self._slots = [(name, t, views[name]) for name, t in named]  # store order
 
     def _base_lr(self, name: str) -> float:
         best = None
@@ -169,7 +188,8 @@ class AdamW:
     def step(self, grads, lr_scale: float = 1.0) -> None:
         """One update from ``{parameter: gradient}``; a missing gradient counts as zero."""
         t = self.step_count + 1
-        for name, p, view, g_view in self._slots:
+        flat_grads = []  # in slot order, each gradient raveled, or None
+        for name, p, view in self._slots:
             if p.data is not view:
                 if p.data.shape != view.shape or p.data.dtype != view.dtype:
                     raise ShapeError(f"AdamW: {name!r} is now {p.data.dtype.name}{list(p.data.shape)}, "
@@ -177,31 +197,42 @@ class AdamW:
                 view[...] = p.data
                 p.data = view
             g = grads.get(p)
-            if g is None:
-                g_view.fill(0)
-            else:
-                g_view[...] = g
-        if not np.isfinite(self._g).all():
-            name = next(name for name, _, _, g in self._slots if not np.isfinite(g).all())
-            raise DivergenceError(f"non-finite gradient for {name!r} at step {t}")
+            if g is not None:
+                if g.shape != view.shape:
+                    raise ShapeError(f"AdamW: gradient for {name!r} has shape {list(g.shape)}, "
+                                     f"expected {list(view.shape)}")
+                if not np.isfinite(g).all():
+                    raise DivergenceError(f"non-finite gradient for {name!r} at step {t}")
+                g = np.ravel(g)
+            flat_grads.append(g)
         self.step_count = t
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for base_lr, part in self._groups:
+        # Made here, not kept: the step's peak is the backward sweep's.
+        g_block, s_block = (np.empty(self._block_len, dtype=self._m.dtype) for _ in range(2))
+        for base_lr, part, pieces in self._blocks:
             lr = base_lr * lr_scale
-            p, m, v, g, s1, s2 = (a[part] for a in (self._flat, self._m, self._v, self._g, self._s1, self._s2))
+            n = part.stop - part.start
+            g, s = g_block[:n], s_block[:n]
+            for i, src, dst in pieces:
+                if flat_grads[i] is None:
+                    g[dst] = 0
+                else:
+                    g[dst] = flat_grads[i][src]
+            p, m, v = (a[part] for a in (self._flat, self._m, self._v))
             np.multiply(p, 1.0 - lr * self.weight_decay, out=p)
             # m = beta1 * m + (1 - beta1) * g
-            np.add(np.multiply(m, self.beta1, out=m), np.multiply(g, 1.0 - self.beta1, out=s1), out=m)
+            np.add(np.multiply(m, self.beta1, out=m), np.multiply(g, 1.0 - self.beta1, out=s), out=m)
             # v = beta2 * v + (1 - beta2) * g * g
-            np.multiply(np.multiply(g, 1.0 - self.beta2, out=s1), g, out=s1)
-            np.add(np.multiply(v, self.beta2, out=v), s1, out=v)
-            # p = p - lr * ((m / bc1) / (sqrt(v / bc2) + eps))
-            np.add(np.sqrt(np.divide(v, bc2, out=s1), out=s1), self.eps, out=s1)
-            np.divide(np.divide(m, bc1, out=s2), s1, out=s2)
-            np.subtract(p, np.multiply(s2, lr, out=s2), out=p)
+            np.multiply(np.multiply(g, 1.0 - self.beta2, out=s), g, out=s)
+            np.add(np.multiply(v, self.beta2, out=v), s, out=v)
+            # p = p - lr * ((m / bc1) / (sqrt(v / bc2) + eps)); g is dead, so
+            # it holds the denominator
+            np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), self.eps, out=g)
+            np.divide(np.divide(m, bc1, out=s), g, out=s)
+            np.subtract(p, np.multiply(s, lr, out=s), out=p)
         if not np.isfinite(self._flat).all():
-            name = next(name for name, _, p, _ in self._slots if not np.isfinite(p).all())
+            name = next(name for name, _, p in self._slots if not np.isfinite(p).all())
             raise DivergenceError(f"non-finite value in {name!r} after step {t}")
 
 

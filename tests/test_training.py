@@ -248,6 +248,26 @@ class TestAdamW:
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes(), f"{name} differs at step {t}"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_split_tensors_and_match_oracle_bytes(self, dtype):
+        # 256 KiB blocks: the encoder group (75,007 values) spans two float32
+        # blocks and three float64 ones, with boundaries inside "encoder.big".
+        shapes = {"encoder.big": (300, 250), "decoder.x": (40000,), "encoder.small": (7,)}
+        rng = stream(35, "adamw.blocks", np.dtype(dtype).name)
+        params = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+        store = _store_of({name: a.copy() for name, a in params.items()}, dtype)
+        opt = tr.AdamW(store, self.LRS, weight_decay=0.05)
+        assert len(opt._blocks) == (3 if dtype is np.float32 else 5)
+        lrs = {name: self.LRS[name.split(".")[0]] for name in params}
+        m = {name: np.zeros_like(a) for name, a in params.items()}
+        v = {name: np.zeros_like(a) for name, a in params.items()}
+        for t in range(1, 4):
+            grads = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+            self._step(opt, store, grads, 0.7)
+            adamw_step(params, grads, m, v, t, lrs, lr_scale=0.7, weight_decay=0.05)
+            for name, ref in params.items():
+                assert store[name].data.tobytes() == ref.tobytes(), f"{name} differs at step {t}"
+
     def test_load_state_after_construction_is_updated(self):
         store, opt, (params, m, v, lrs) = self._fresh(np.float32)
         grads = self._grads(32, 1, np.float32)
@@ -262,6 +282,14 @@ class TestAdamW:
         for name, ref in params.items():
             assert store[name].data.tobytes() == ref.tobytes(), name
 
+    def test_state_arrays_stay_a_snapshot(self):
+        store, opt, _ = self._fresh(np.float32)
+        saved = store.state_arrays()
+        before = {name: a.tobytes() for name, a in saved.items()}
+        self._step(opt, store, self._grads(34, 1, np.float32))
+        assert {name: a.tobytes() for name, a in saved.items()} == before
+        assert store["encoder.a"].data.tobytes() != before["encoder.a"]
+
     def test_one_dtype_for_the_flat_buffer(self):
         store = _store_of({"decoder.a": [1.0], "decoder.b": [2.0]})
         store["decoder.b"].data = np.array([2.0], dtype=np.float32)
@@ -272,6 +300,13 @@ class TestAdamW:
         store["decoder.a"].data = np.array([1.0], dtype=np.float32)
         with pytest.raises(ShapeError, match=r"'decoder\.a' is now float32\[1\], expected float64\[1\]"):
             opt.step({})
+
+    def test_gradient_must_match_its_parameter_shape(self):
+        store = _store_of({"decoder.a": [1.0, 2.0], "decoder.b": [3.0]})
+        opt = tr.AdamW(store, {"decoder": 0.1})
+        with pytest.raises(ShapeError, match=r"'decoder\.a' has shape \[3\], expected \[2\]"):
+            opt.step({store["decoder.a"]: np.ones(3)})
+        assert store["decoder.a"].data.tolist() == [1.0, 2.0] and opt.step_count == 0
 
     def test_nonfinite_gradient_moves_nothing(self):
         store, opt, (params, m, v, lrs) = self._fresh(np.float64)
