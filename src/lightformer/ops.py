@@ -12,23 +12,24 @@ outputs within one platform/BLAS build.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, active_tape
-
-
-def _record(op, inputs, out, backward):
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(op, inputs, out, backward)
+from .tensor import _TAPE_STACK, ShapeError, Tensor
 
 
 def _result(op, inputs, data, backward):
+    """Wrap ``data`` as the op's output; record it on the innermost tape if it needs a gradient."""
     out = Tensor.__new__(Tensor)
-    out.data = data if data.flags["C_CONTIGUOUS"] else np.ascontiguousarray(data)
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    _record(op, inputs, out, backward)
+    out.data = data if data.flags.c_contiguous else np.ascontiguousarray(data)
+    out.requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            if _TAPE_STACK:
+                _TAPE_STACK[-1].record(op, inputs, out, backward)
+            break
     return out
 
 
@@ -61,6 +62,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _coerce_pair(op, a, b):
     """Allow a python scalar on either side; it becomes a constant rank-0 tensor."""
     if isinstance(a, Tensor) and isinstance(b, Tensor):
+        if a.data.shape == b.data.shape and a.data.dtype == b.data.dtype:
+            return a, b
         _check_same_dtype(op, a, b)
     elif isinstance(a, Tensor):
         b = Tensor(np.asarray(b, dtype=a.dtype))
@@ -171,9 +174,9 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Max-subtraction stabilized softmax along ``axis``; rows sum to 1."""
     axis = _norm_axis("softmax", axis, x.ndim)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -212,9 +215,20 @@ def _expand_reduced(g, in_shape, axes, keepdims):
     return np.broadcast_to(g, in_shape)
 
 
+def _mean_keepdims(a, axes, count):
+    """``a.mean(axis=axes, keepdims=True)`` for ``count`` reduced elements, byte for byte.
+
+    These are the two ufunc calls ``ndarray.mean`` makes, including its
+    division by an ``intp`` count (so a float32 sum is divided in float64
+    and cast back), without its Python-level dispatch.
+    """
+    s = np.add.reduce(a, axis=axes, keepdims=True)
+    return np.true_divide(s, np.intp(count), out=s, casting="unsafe")
+
+
 def sum_(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes("sum", axes, x.ndim)
-    y = x.data.sum(axis=axes, keepdims=keepdims)
+    y = np.add.reduce(x.data, axis=axes, keepdims=keepdims)
 
     def backward(g):
         return (np.ascontiguousarray(_expand_reduced(g, x.shape, axes, keepdims)),)
@@ -224,25 +238,25 @@ def sum_(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 def mean(x: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes("mean", axes, x.ndim)
-    count = 1
-    for a in axes:
-        count *= x.shape[a]
-    y = x.data.mean(axis=axes, keepdims=keepdims)
+    count = math.prod([x.shape[a] for a in axes])
+    y = _mean_keepdims(x.data, axes, count)
+    if not keepdims:
+        y = y.reshape([n for d, n in enumerate(x.shape) if d not in axes])
 
     def backward(g):
         return (np.ascontiguousarray(_expand_reduced(g, x.shape, axes, keepdims)) / count,)
 
-    return _result("mean", (x,), np.asarray(y, dtype=x.dtype), backward)
+    return _result("mean", (x,), y, backward)
 
 
 def max_reduce(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; the adjoint flows to the first max position (ties).
 
-    The forward is ``np.max``; only the adjoint needs the ``argmax``, which
-    is many times slower over a strided axis.
+    The forward is the reduction ``np.max`` runs; only the adjoint needs the
+    ``argmax``, which is many times slower over a strided axis.
     """
     axis = _norm_axis("max_reduce", axis, x.ndim)
-    y = np.asarray(x.data.max(axis=axis, keepdims=keepdims))
+    y = np.asarray(np.maximum.reduce(x.data, axis=axis, keepdims=keepdims))
 
     def backward(g):
         idx = np.expand_dims(np.argmax(x.data, axis=axis), axis)
@@ -271,7 +285,7 @@ def reduce_channel(x: Tensor, kind: str) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    if math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape} (element counts differ)")
     return _result("reshape", (x,), x.data.reshape(shape), lambda g: (g.reshape(x.shape),))
 
@@ -448,11 +462,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     padded_shape = xp.shape  # the adjoint must not keep xp alive
     # Row (c, u, v) of the column buffer is input channel c seen through tap
     # (u, v). When that view is already contiguous (an unpadded stride-1
-    # 1x1 conv), the buffer is x.data itself, read-only.
+    # 1x1 conv), the buffer is x.data itself, so the view is made read-only:
+    # the adjoint must not overwrite it with the column adjoint.
     s0, s1, s2, s3 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (B, Cin, kh, kw, Ho, Wo), (s0, s1, s2, s3, s2 * sh, s3 * sw), writeable=False
-    )
+    windows = np.ndarray((B, Cin, kh, kw, Ho, Wo), xp.dtype, buffer=xp,
+                         strides=(s0, s1, s2, s3, s2 * sh, s3 * sw))
+    windows.flags.writeable = False
     col = np.ascontiguousarray(windows).reshape(B, groups, K, N)
     wg = weight.data.reshape(groups, Cout_g, K)
     y = np.matmul(wg, col).reshape(B, Cout, Ho, Wo)
@@ -504,14 +519,16 @@ def _depthwise_mac(src, row_len, weights, offsets, out_hw, stride):
     step = min(C, max(1, (1 << 18) // out[:, :1].nbytes))
     acc_buf = np.empty((B, step, Ho, row), dtype=src.dtype)
     prod = np.empty_like(acc_buf)
+    # Tap t's weights as a (1, C, 1, 1) view: taps[t]
+    taps = weights.T.reshape(len(offsets), 1, C, 1, 1)
     for c in range(0, C, step):
-        sc, wc = src[:, c : c + step], weights[c : c + step]
+        sc = src[:, c : c + step]
         n = sc.shape[1]
         acc, pc = acc_buf[:, :n], prod[:, :n]
         acc.fill(0)
-        for t, s in enumerate(offsets):
+        for s, wt in zip(offsets, taps[:, :, c : c + step]):
             rows = sc[:, :, s : s + Ho * sh * row_len].reshape(B, n, Ho, sh * row_len)
-            acc += np.multiply(wc[:, t].reshape(1, -1, 1, 1), rows[..., : row * sw : sw], out=pc)
+            acc += np.multiply(wt, rows[..., : row * sw : sw], out=pc)
         out[:, c : c + n] = acc[..., :Wo]
     return out
 
@@ -735,17 +752,17 @@ def norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, groups: int | Non
         if t.shape != (C,):
             raise ShapeError(f"norm2d: {name} shape {t.shape} != ({C},), the channels of x {x.shape}")
     if groups is None:
-        xs, axes = x.data, (0, 2, 3)
+        xs, axes, count = x.data, (0, 2, 3), B * H * W
     elif stats is not None:
         raise ShapeError("norm2d: given statistics are per channel, so groups must be None")
     elif groups < 1 or C % groups:
         raise ShapeError(f"norm2d: groups {groups} does not divide channels {C}")
     else:
-        xs, axes = x.data.reshape(B, groups, -1), (2,)
+        xs, axes, count = x.data.reshape(B, groups, -1), (2,), C // groups * H * W
     if stats is None:
-        m = xs.mean(axis=axes, keepdims=True)
+        m = _mean_keepdims(xs, axes, count)
         centered = xs - m
-        v = (centered * centered).mean(axis=axes, keepdims=True)
+        v = _mean_keepdims(centered * centered, axes, count)
     else:
         for name, s in zip(("mean", "var"), stats):
             if s.shape != (C,):
@@ -764,8 +781,8 @@ def norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, groups: int | Non
         g_gamma = (g * xhat.reshape(B, C, H, W)).sum(axis=(0, 2, 3))
         gx = (g * gam).reshape(xs.shape)
         if stats is None:
-            dot = (gx * xhat).mean(axis=axes, keepdims=True)
-            gx -= gx.mean(axis=axes, keepdims=True)
+            dot = _mean_keepdims(gx * xhat, axes, count)
+            gx -= _mean_keepdims(gx, axes, count)
             gx -= np.multiply(xhat, dot, out=xhat)
         gx *= 1.0 / std
         return gx.reshape(B, C, H, W), g_gamma, g.sum(axis=(0, 2, 3))

@@ -25,7 +25,12 @@ class DivergenceError(RuntimeError):
 
 
 def _prep_targets(logits: Tensor, labels, ignore_label: int):
-    """One-hot targets and the not-ignored mask; validates label range."""
+    """One-hot targets, the not-ignored mask and its count; validates label range.
+
+    Returns ``(onehot, mask, count)``: two constant tensors of the logits'
+    shape and dtype (the mask with one channel) and the number of kept
+    pixels. Ignored pixels get class 0 in the one-hot; the mask zeroes them.
+    """
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise TypeError(f"labels must be integers, got {labels.dtype}")
@@ -41,8 +46,7 @@ def _prep_targets(logits: Tensor, labels, ignore_label: int):
     if count == 0:
         raise ValueError("every pixel is ignored; loss is undefined")
     safe = np.where(keep, labels, 0)
-    onehot = np.zeros((b, k, h, w), dtype=logits.dtype)
-    np.put_along_axis(onehot, safe[:, None, :, :], 1.0, axis=1)
+    onehot = (safe[:, None] == np.arange(k).reshape(1, k, 1, 1)).astype(logits.dtype)
     mask = keep[:, None, :, :].astype(logits.dtype)
     return Tensor(onehot), Tensor(mask), count
 
@@ -52,22 +56,28 @@ def _true_class_prob(logits: Tensor, onehot: Tensor) -> Tensor:
     return ops.sum_(ops.mul(probs, onehot), axes=(1,), keepdims=True)
 
 
-def cross_entropy_loss(logits: Tensor, labels, ignore_label: int = IGNORE_LABEL) -> Tensor:
-    """Mean -log p(true class) over non-ignored pixels, clamped at 1e-12."""
-    onehot, mask, count = _prep_targets(logits, labels, ignore_label)
+def cross_entropy_loss(logits: Tensor, labels, ignore_label: int = IGNORE_LABEL,
+                       targets=None) -> Tensor:
+    """Mean -log p(true class) over non-ignored pixels, clamped at 1e-12.
+
+    ``targets``, when given, is ``_prep_targets``' result for these logits'
+    shape and labels, and ``labels`` is then not read.
+    """
+    onehot, mask, count = targets or _prep_targets(logits, labels, ignore_label)
     p_true = _true_class_prob(logits, onehot)
     losses = ops.neg(ops.log(ops.clamp_min(p_true, 1e-12)))
     return ops.mul(ops.sum_(ops.mul(losses, mask)), 1.0 / count)
 
 
 def dice_loss(logits: Tensor, labels, ignore_label: int = IGNORE_LABEL,
-              eps: float = 1e-6) -> Tensor:
+              eps: float = 1e-6, targets=None) -> Tensor:
     """1 - (2/N) sum p_true/(p_true + 1 + eps); zero iff every p_true is 1.
 
     The class sum collapses to the true-class term because the target is
-    one-hot: off-class terms contribute p*0/(p+0+eps) = 0.
+    one-hot: off-class terms contribute p*0/(p+0+eps) = 0. ``targets`` is
+    as in ``cross_entropy_loss``.
     """
-    onehot, mask, count = _prep_targets(logits, labels, ignore_label)
+    onehot, mask, count = targets or _prep_targets(logits, labels, ignore_label)
     p_true = _true_class_prob(logits, onehot)
     overlap = ops.div(p_true, ops.add(p_true, 1.0 + eps))
     total = ops.sum_(ops.mul(overlap, mask))
@@ -84,22 +94,32 @@ class LossBundle:
 
 def total_loss(logits: Tensor, aux_logits, labels, train: bool,
                aux_weight: float = 0.4, ignore_label: int = IGNORE_LABEL) -> LossBundle:
-    """CE + Dice, plus ``aux_weight`` times the mean auxiliary CE in training."""
-    ce = cross_entropy_loss(logits, labels, ignore_label)
-    dice = dice_loss(logits, labels, ignore_label)
-    total = ops.add(ce, dice)
-    aux = None
+    """CE + Dice, plus ``aux_weight`` times the mean auxiliary CE in training.
+
+    The targets are built once and shared by every term, so each aux logits
+    map must have the main logits' shape and dtype.
+    """
+    targets = _prep_targets(logits, labels, ignore_label)
     if train:
         if not aux_logits:
             raise ValueError("training mode requires auxiliary logits (aux heads are part of the objective)")
-        terms = [cross_entropy_loss(a, labels, ignore_label) for a in aux_logits]
+        for i, a in enumerate(aux_logits):
+            if a.shape != logits.shape or a.dtype != logits.dtype:
+                raise ShapeError(f"aux logits {i} are {a.dtype.name} {a.shape}, but the main logits "
+                                 f"are {logits.dtype.name} {logits.shape}")
+    elif aux_logits:
+        raise ValueError("eval mode received auxiliary logits; they are train-only")
+    ce = cross_entropy_loss(logits, labels, ignore_label, targets=targets)
+    dice = dice_loss(logits, labels, ignore_label, targets=targets)
+    total = ops.add(ce, dice)
+    aux = None
+    if train:
+        terms = [cross_entropy_loss(a, labels, ignore_label, targets=targets) for a in aux_logits]
         acc = terms[0]
         for t in terms[1:]:
             acc = ops.add(acc, t)
         aux = ops.mul(acc, 1.0 / len(terms))
         total = ops.add(total, ops.mul(aux, aux_weight))
-    elif aux_logits:
-        raise ValueError("eval mode received auxiliary logits; they are train-only")
     return LossBundle(total=total, ce=ce, dice=dice, aux=aux)
 
 

@@ -261,3 +261,16 @@ def adamw_step(params, grads, m, v, t, lrs, lr_scale=1.0, weight_decay=1e-2,
         v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
         update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
         params[name] = p - lr * update
+
+
+def put_along_axis_onehot(labels, k, dtype, ignore_label=255):
+    """(B, k, H, W) one-hot targets of (B, H, W) integer labels, an ignored
+    pixel counted as class 0: the builder ``training._prep_targets`` used
+    before it compared the labels with ``arange(k)``.
+    """
+    keep = labels != ignore_label
+    b, h, w = labels.shape
+    safe = np.where(keep, labels, 0)
+    onehot = np.zeros((b, k, h, w), dtype=dtype)
+    np.put_along_axis(onehot, safe[:, None, :, :], 1.0, axis=1)
+    return onehot

@@ -1,5 +1,6 @@
 """Checks of the tensor layer against naive references and finite differences."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -282,6 +283,27 @@ def test_conv2d_1x1_adjoint_leaves_input_intact():
     assert np.abs(grads[x]).max() > 0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("groups", [1, 2])
+def test_conv2d_1x1_column_alias_is_read_only(dtype, groups):
+    # The window view of an unpadded stride-1 1x1 conv is x.data itself, and
+    # only its read-only flag keeps the adjoint from writing the column
+    # adjoint over it. After the backward, x.data is byte-identical and
+    # still writeable, and gx is the plain transposed product.
+    rng = stream(18, "conv.alias.flag", str(groups), np.dtype(dtype).name)
+    x = Tensor(rng.standard_normal((2, 4, 5, 6)), dtype=dtype, requires_grad=True)
+    w = Tensor(rng.standard_normal((6, 4 // groups, 1, 1)), dtype=dtype, requires_grad=True)
+    before = x.data.tobytes()
+    with Tape() as tape:
+        y = ops.conv2d(x, w, groups=groups)
+    g = rng.standard_normal(y.shape).astype(dtype)
+    gx, _ = tape.nodes[-1].backward(g)
+    assert x.data.tobytes() == before and x.data.flags.writeable
+    wg = w.data.reshape(groups, 6 // groups, 4 // groups)
+    ref = np.einsum("goc,bgohw->bgchw", wg, g.reshape(2, groups, 6 // groups, 5, 6)).reshape(x.shape)
+    np.testing.assert_allclose(gx, ref, rtol=1e-5, atol=1e-5)
+
+
 def test_conv2d_im2col_memory():
     # Taped, a 3x3 conv holds one column buffer (9x the input) for its
     # adjoint, and the adjoint writes the column adjoint back into it, so the
@@ -487,6 +509,27 @@ class TestElementwise:
         x = Tensor(np.array([[[[1.0, 2.0]], [[3.0, 0.0]]]], dtype=np.float32))
         np.testing.assert_allclose(ops.reduce_channel(x, "mean").data, [[[[2.0, 1.0]]]])
         np.testing.assert_allclose(ops.reduce_channel(x, "max").data, [[[[3.0, 2.0]]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mean_is_ndarray_mean_bitwise(self, dtype):
+        rng = stream(19, "mean", np.dtype(dtype).name)
+        for shape in [(5,), (3, 7), (1, 4, 4, 4), (2, 3, 7, 9), (2, 6, 1, 2, 2, 3), (4, 65, 33)]:
+            x = Tensor(rng.standard_normal(shape) * 10.0 + 3.0, dtype=dtype)
+            subsets = [None] + [axes for r in range(1, x.ndim + 1)
+                                for axes in itertools.combinations(range(x.ndim), r)]
+            for axes in subsets + [-1] + ([(0, -1)] if x.ndim > 1 else []):
+                for keepdims in (False, True):
+                    out = ops.mean(x, axes=axes, keepdims=keepdims)
+                    ref = np.asarray(x.data.mean(axis=axes, keepdims=keepdims))
+                    assert out.data.shape == ref.shape and out.dtype == ref.dtype
+                    assert out.data.tobytes() == ref.tobytes(), (shape, axes, keepdims)
+
+    def test_mean_divides_like_ndarray_mean_past_float32_integers(self):
+        # 2**24 + 3 is not a float32: a sum divided by a python-int count
+        # would round the count to float32 and, for this value, the quotient.
+        x = np.broadcast_to(np.float32(0.7), (2 ** 24 + 3,))
+        out = ops._mean_keepdims(x, (0,), x.size)
+        assert out.tobytes() == x.mean(axis=(0,), keepdims=True).tobytes()
 
     def test_max_reduce_values(self):
         x = Tensor(np.array([[1.0, 5.0, 2.0], [4.0, 0.0, 4.0]], dtype=np.float32))

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from lightformer import training as tr
 from lightformer.rng import stream
 from lightformer.tensor import ShapeError, Tape, Tensor
 
-from oracles import adamw_step
+from oracles import adamw_step, put_along_axis_onehot
 
 K = 4
 
@@ -137,6 +138,75 @@ class TestTotalLoss:
             aux = [_logits((1, K, 6, 6), seed=40 + seed, scale=5.0)]
             total = tr.total_loss(logits, aux, labels, train=True).total.data
             assert np.isfinite(total) and total >= 0.0
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_targets_built_once_per_call(self, monkeypatch, train):
+        calls = []
+        real = tr._prep_targets
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "_prep_targets", counted)
+        labels = _labels((2, 6, 6), seed=16)
+        logits = _logits((2, K, 6, 6), seed=17)
+        aux = [_logits((2, K, 6, 6), seed=18 + i) for i in range(3)] if train else []
+        tr.total_loss(logits, aux, labels, train=train)
+        assert calls == [logits.shape]
+
+    def test_shared_targets_change_no_byte(self):
+        # Each term and each adjoint equals the one its loss function
+        # computes with targets of its own.
+        labels = _labels((2, 6, 6), seed=19)
+        labels[0, :2] = 255
+        logits = _logits((2, K, 6, 6), seed=20)
+        aux = [_logits((2, K, 6, 6), seed=21 + i) for i in range(3)]
+        with Tape() as tape:
+            bundle = tr.total_loss(logits, aux, labels, train=True)
+        grads = tape.backward(bundle.total)
+        with Tape() as tape:
+            ce = tr.cross_entropy_loss(logits, labels)
+            dice = tr.dice_loss(logits, labels)
+            terms = [tr.cross_entropy_loss(a, labels) for a in aux]
+            aux_mean = ops.mul(ops.add(ops.add(terms[0], terms[1]), terms[2]), 1.0 / 3)
+            total = ops.add(ops.add(ce, dice), ops.mul(aux_mean, 0.4))
+        ref = tape.backward(total)
+        for got, want in ((bundle.ce, ce), (bundle.dice, dice), (bundle.aux, aux_mean), (bundle.total, total)):
+            assert got.data.tobytes() == want.data.tobytes()
+        for t in [logits] + aux:
+            assert grads[t].tobytes() == ref[t].tobytes()
+
+    @pytest.mark.parametrize("aux_shape", [(1, K, 8, 6), (1, K + 1, 8, 8)])
+    def test_aux_shape_mismatch_names_the_aux(self, aux_shape):
+        labels = _labels((1, 8, 8), seed=22)
+        logits = _logits((1, K, 8, 8), seed=23)
+        aux = [_logits((1, K, 8, 8), seed=24), _logits(aux_shape, seed=25)]
+        with pytest.raises(ShapeError, match=rf"aux logits 1 .*{re.escape(str(aux_shape))}.*"
+                                             rf"{re.escape(str(logits.shape))}"):
+            tr.total_loss(logits, aux, labels, train=True)
+
+    def test_aux_dtype_mismatch_names_the_aux(self):
+        labels = _labels((1, 8, 8), seed=26)
+        logits = _logits((1, K, 8, 8), seed=27)
+        aux = [Tensor(_logits((1, K, 8, 8), seed=28).data.astype(np.float32))]
+        with pytest.raises(ShapeError, match="aux logits 0 are float32"):
+            tr.total_loss(logits, aux, labels, train=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 7])
+@pytest.mark.parametrize("label_dtype", [np.int64, np.uint8])
+def test_prep_targets_onehot_is_put_along_axis_bitwise(dtype, k, label_dtype):
+    labels = stream(29, "onehot", str(k)).integers(0, k, size=(3, 5, 6)).astype(label_dtype)
+    labels[0, 0, :3] = (0, k - 1, 255)
+    labels[2, 4, :] = 255
+    onehot, mask, count = tr._prep_targets(Tensor(np.zeros((3, k, 5, 6)), dtype=dtype), labels, 255)
+    ref = put_along_axis_onehot(labels, k, dtype)
+    assert onehot.data.dtype == ref.dtype and onehot.data.shape == ref.shape
+    assert onehot.data.tobytes() == ref.tobytes()
+    assert mask.data.tobytes() == (labels != 255)[:, None].astype(dtype).tobytes()
+    assert count == int((labels != 255).sum())
 
 
 def _store_of(values, dtype=np.float64):
