@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 
 from .blocks import BlockConfig
 from .network import INPUT_MULTIPLE, DecoderConfig
@@ -38,6 +39,17 @@ def _int_from(low: int, multiple: int = 1):
         if value < low or value % multiple:
             step = f" and a multiple of {multiple}" if multiple > 1 else ""
             raise ValueError(f"must be at least {low}{step}, got {value}")
+        return value
+    return parse
+
+
+def _float_from(low: float, inclusive: bool = True):
+    """Parser for a finite float of at least ``low`` (above it if not ``inclusive``)."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or value < low or (value == low and not inclusive):
+            bound = "at least" if inclusive else "above"
+            raise ValueError(f"must be a finite number {bound} {low:g}, got {text.strip()!r}")
         return value
     return parse
 
@@ -81,11 +93,11 @@ SCHEMA = {
     "data.std": (_parse_floats, (0.25, 0.25, 0.25)),
     "train.epochs": (_int_from(0), 30),
     "train.batch_size": (_int_from(1), 8),
-    "train.encoder_lr": (float, 3e-3),
-    "train.decoder_lr": (float, 9e-3),
-    "train.lr_min": (float, 1e-4),
-    "train.weight_decay": (float, 1e-2),
-    "train.aux_weight": (float, 0.4),
+    "train.encoder_lr": (_float_from(0.0), 3e-3),
+    "train.decoder_lr": (_float_from(0.0, inclusive=False), 9e-3),
+    "train.lr_min": (_float_from(0.0), 1e-4),
+    "train.weight_decay": (_float_from(0.0), 1e-2),
+    "train.aux_weight": (_float_from(0.0), 0.4),
     "train.augment": (_parse_bool, True),
     "train.stop_miou": (float, 0.95),
     "infer.window": (_int_from(1), 1024),

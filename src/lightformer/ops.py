@@ -415,16 +415,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     the depthwise case. Stride, padding, and kernel may differ per axis.
 
     groups == Cin == Cout (one filter per channel) runs ``_conv2d_depthwise``,
-    a multiply-accumulate over shifted views of the padded input. Every other
-    grouping is lowered to im2col (Chellapilla et al., 2006): a column buffer
-    of shape (B, groups, Cin/groups*kh*kw, H'*W') copied from a strided view
-    of the padded input, and one ``np.matmul`` with the weight viewed as
-    (groups, Cout/groups, Cin/groups*kh*kw). The adjoint computes the weight
-    gradient as one batched GEMM summed over the batch, then overwrites the
-    buffer with the column adjoint and scatters it back onto the input with
-    one strided add per tap (col2im). An input that does not require a
-    gradient gets ``None``, and neither the column adjoint nor col2im runs.
-    The GEMMs round differently from a per-tap accumulation.
+    a multiply-accumulate over shifted views of the padded input, and an
+    unpadded stride-1 1x1 kernel runs ``_conv2d_1x1``, whose column buffer is
+    the input itself. Every other grouping is lowered to im2col (Chellapilla
+    et al., 2006) with the batch folded into the columns: a column buffer of
+    shape (groups, Cin/groups*kh*kw, B*H'*W'), rows (c, u, v) and columns
+    (b, i, j), copied from a strided view of the padded input. The forward,
+    the weight gradient and the column adjoint are then one ``np.matmul``
+    each over B*H'*W' columns, with the weight viewed as (groups, Cout/groups,
+    Cin/groups*kh*kw). The output comes out channel-major and is copied once
+    to (B, Cout, H', W'), and the adjoint copies g the other way; at B == 1
+    neither copy is made. The adjoint overwrites the buffer with the column
+    adjoint and scatters it back onto the input with one strided add per tap
+    (col2im), in tap order, through a transposed view of the zeroed padded
+    gradient. An input that does not require a gradient gets ``None``, and
+    neither the column adjoint nor col2im runs. The GEMMs round differently
+    from a per-tap accumulation; at B == 1 they are the per-sample GEMMs, and
+    over a batch they may round differently from them too.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
@@ -454,41 +461,78 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
 
     if groups == Cin == Cout:
         return _conv2d_depthwise(x, weight, bias, (sh, sw), (ph, pw), (Ho, Wo))
+    Cout_g, K, N = Cout // groups, Cin_g * kh * kw, Ho * Wo
+    wg = weight.data.reshape(groups, Cout_g, K)
+    if kh == kw == sh == sw == 1 and not (ph or pw):
+        return _conv2d_1x1(x, weight, bias, wg)
     xp = x.data
     if ph or pw:
         xp = np.zeros((B, Cin, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
         xp[:, :, ph : ph + H, pw : pw + W] = x.data
-    Cout_g, K, N = Cout // groups, Cin_g * kh * kw, Ho * Wo
     padded_shape = xp.shape  # the adjoint must not keep xp alive
     # Row (c, u, v) of the column buffer is input channel c seen through tap
-    # (u, v). When that view is already contiguous (an unpadded stride-1
-    # 1x1 conv), the buffer is x.data itself, so the view is made read-only:
-    # the adjoint must not overwrite it with the column adjoint.
+    # (u, v); column (b, i, j) is output pixel (i, j) of sample b. When that
+    # view is already contiguous (B == 1 and a kernel as tall as an unpadded
+    # input, as wide or one column wide), the buffer is x.data itself, so the
+    # view is made read-only: the adjoint must not overwrite it.
     s0, s1, s2, s3 = xp.strides
-    windows = np.ndarray((B, Cin, kh, kw, Ho, Wo), xp.dtype, buffer=xp,
-                         strides=(s0, s1, s2, s3, s2 * sh, s3 * sw))
+    windows = np.ndarray((Cin, kh, kw, B, Ho, Wo), xp.dtype, buffer=xp,
+                         strides=(s1, s2, s3, s0, s2 * sh, s3 * sw))
     windows.flags.writeable = False
-    col = np.ascontiguousarray(windows).reshape(B, groups, K, N)
-    wg = weight.data.reshape(groups, Cout_g, K)
-    y = np.matmul(wg, col).reshape(B, Cout, Ho, Wo)
+    col = np.ascontiguousarray(windows).reshape(groups, K, B * N)
+    y = np.matmul(wg, col).reshape(Cout, B, Ho, Wo)
+    y = y.reshape(B, Cout, Ho, Wo) if B == 1 else np.ascontiguousarray(y.transpose(1, 0, 2, 3))
     if bias is not None:
         y += bias.data.reshape(1, Cout, 1, 1)
 
     def backward(g):
-        gg = g.reshape(B, groups, Cout_g, N)
-        gw = np.matmul(gg, col.swapaxes(-1, -2)).sum(axis=0)
+        gt = g if B == 1 else np.ascontiguousarray(g.transpose(1, 0, 2, 3))
+        gt = gt.reshape(groups, Cout_g, B * N)
+        gw = np.matmul(gt, col.swapaxes(-1, -2))
         gx = None
         if x.requires_grad:
             # col is dead once gw is done, so the column adjoint overwrites it
             # (this makes the closure single-use, as the tape already is).
-            gcol = np.matmul(wg.swapaxes(-1, -2), gg, out=col if col.flags.writeable else None)
-            gcol = gcol.reshape(B, Cin, kh, kw, Ho, Wo)
+            gcol = np.matmul(wg.swapaxes(-1, -2), gt, out=col if col.flags.writeable else None)
+            gcol = gcol.reshape(Cin, kh, kw, B, Ho, Wo)
             gxp = np.zeros(padded_shape, dtype=x.dtype)
+            gxt = gxp.transpose(1, 0, 2, 3)
             for u in range(kh):
                 for v in range(kw):
-                    gxp[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw] += gcol[:, :, u, v]
+                    gxt[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw] += gcol[:, u, v]
             gx = np.ascontiguousarray(gxp[:, :, ph : ph + H, pw : pw + W])
         grads = [gx, gw.reshape(Cout, Cin_g, kh, kw)]
+        if bias is not None:
+            grads.append(g.sum(axis=(0, 2, 3)))
+        return tuple(grads)
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _result("conv2d", inputs, y, backward)
+
+
+def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Tensor | None, wg) -> Tensor:
+    """conv2d for an unpadded stride-1 1x1 kernel: one product per sample.
+
+    The column buffer is ``x.data`` itself, viewed as (B, groups, Cin/groups,
+    H*W), so nothing is copied, and the input adjoint is the transposed
+    product per sample. The weight gradient is a batched GEMM summed over
+    the batch; its (B, groups, Cout/groups, Cin/groups) temporary is small.
+    """
+    B, Cin, H, W = x.shape
+    groups, Cout_g, K = wg.shape
+    Cout = groups * Cout_g
+    col = x.data.reshape(B, groups, K, H * W)
+    y = np.matmul(wg, col).reshape(B, Cout, H, W)
+    if bias is not None:
+        y += bias.data.reshape(1, Cout, 1, 1)
+
+    def backward(g):
+        gg = g.reshape(B, groups, Cout_g, H * W)
+        gw = np.matmul(gg, col.swapaxes(-1, -2)).sum(axis=0)
+        gx = None
+        if x.requires_grad:
+            gx = np.matmul(wg.swapaxes(-1, -2), gg).reshape(B, Cin, H, W)
+        grads = [gx, gw.reshape(weight.shape)]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
@@ -559,9 +603,14 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, pa
     the same floating-point operations as a per-tap grouped conv, so they
     match one bit for bit: the products the gather adds for taps that miss g
     are zeros, which leave a sum started at +0 unchanged. The weight adjoint
-    of a tap is an ``einsum`` reduction of g against that tap's strided view
-    of the padded input, which matches a per-tap matmul only to rounding. An
-    input that does not require a gradient gets ``None``.
+    is one ``einsum("bcp,bcuvp->cuv")``: g dilated by the stride into a zeroed
+    (B, C, H', sh·Wp) plane of full padded rows, against a read-only
+    (B, C, kh, kw, H'·sh·Wp) Hankel view of the forward's flat padded input
+    whose element (u, v, p) is ``flat[u·Wp + v + p]``. Positions of the plane
+    that hold no sample of g add zero products. The plane is dropped before
+    the input adjoint reuses the padded input. This sum matches a per-tap
+    reduction only to rounding. An input that does not require a gradient
+    gets ``None``.
     """
     (sh, sw), (ph, pw), (Ho, Wo) = stride, padding, out_hw
     B, C, H, W = x.shape
@@ -577,12 +626,19 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, pa
         out += bias.data.reshape(1, C, 1, 1)
 
     def backward(g):
-        xp = flat[:, :, : Hp * Wp].reshape(B, C, Hp, Wp)
-        gw = np.empty_like(wt)
-        for u in range(kh):
-            for v in range(kw):
-                view = xp[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw]
-                gw[:, u, v] = np.einsum("bchw,bchw->c", g, view)
+        # g dilated by the stride into zeroed full padded rows, against the
+        # Hankel view hankel[b, c, u, v, p] = flat[b, c, u·Wp + v + p]:
+        # sample (i, j) of g sits at p = i·sh·Wp + j·sw, which the view maps
+        # to padded pixel (i·sh + u, j·sw + v).
+        P = Ho * sh * Wp
+        gd = np.zeros((B, C, Ho, sh * Wp), dtype=g.dtype)
+        gd[:, :, :, : sw * (Wo - 1) + 1 : sw] = g
+        s0, s1, s2 = flat.strides
+        hankel = np.ndarray((B, C, kh, kw, P), flat.dtype, buffer=flat,
+                            strides=(s0, s1, Wp * s2, s2, s2))
+        hankel.flags.writeable = False
+        gw = np.einsum("bcp,bcuvp->cuv", gd.reshape(B, C, P), hankel)
+        del gd, hankel
         gx = None
         if x.requires_grad:
             Gh, Gw = H + kh - 1, W + kw - 1

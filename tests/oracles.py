@@ -76,6 +76,72 @@ def tap_conv2d(x, w, b, g, stride=1, padding=0, groups=1):
     return y, gx, gw.reshape(w.shape), gb
 
 
+def batch_major_conv2d(x, w, b, g, stride=1, padding=0, groups=1):
+    """Dense or grouped conv as an im2col GEMM with batch-major columns;
+    forward and adjoint.
+
+    ``g`` is the output adjoint. Returns ``(y, gx, gw, gb)``, with ``gb``
+    None when ``b`` is. This is the lowering ``ops.conv2d`` ran before it
+    folded the batch into the GEMM's columns: a (B, groups, K, H'*W') column
+    buffer, one product per sample, and a weight gradient summed over a
+    (B, groups, Cout/groups, K) temporary.
+    """
+    sh, sw = (stride, stride) if isinstance(stride, int) else stride
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    B, Cin, H, W = x.shape
+    Cout, Cin_g, kh, kw = w.shape
+    Ho = (H + 2 * ph - kh) // sh + 1
+    Wo = (W + 2 * pw - kw) // sw + 1
+    xp = x
+    if ph or pw:
+        xp = np.zeros((B, Cin, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
+        xp[:, :, ph : ph + H, pw : pw + W] = x
+    Cout_g, K, N = Cout // groups, Cin_g * kh * kw, Ho * Wo
+    padded_shape = xp.shape
+    s0, s1, s2, s3 = xp.strides
+    windows = np.ndarray((B, Cin, kh, kw, Ho, Wo), xp.dtype, buffer=xp,
+                         strides=(s0, s1, s2, s3, s2 * sh, s3 * sw))
+    windows.flags.writeable = False
+    col = np.ascontiguousarray(windows).reshape(B, groups, K, N)
+    wg = w.reshape(groups, Cout_g, K)
+    y = np.matmul(wg, col).reshape(B, Cout, Ho, Wo)
+    if b is not None:
+        y += b.reshape(1, Cout, 1, 1)
+
+    gg = g.reshape(B, groups, Cout_g, N)
+    gw = np.matmul(gg, col.swapaxes(-1, -2)).sum(axis=0)
+    gcol = np.matmul(wg.swapaxes(-1, -2), gg, out=col if col.flags.writeable else None)
+    gcol = gcol.reshape(B, Cin, kh, kw, Ho, Wo)
+    gxp = np.zeros(padded_shape, dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw] += gcol[:, :, u, v]
+    gx = np.ascontiguousarray(gxp[:, :, ph : ph + H, pw : pw + W])
+    gb = None if b is None else g.sum(axis=(0, 2, 3))
+    return y, gx, gw.reshape(Cout, Cin_g, kh, kw), gb
+
+
+def tap_depthwise_weight_adjoint(x, g, kernel, stride=1, padding=0):
+    """Weight adjoint of a depthwise conv, one ``einsum`` per tap over that
+    tap's strided view of the zero-padded input: the loop
+    ``ops._conv2d_depthwise`` ran before its single Hankel-view ``einsum``.
+
+    ``x`` is (B, C, H, W) and ``g`` the (B, C, H', W') output adjoint.
+    Returns the (C, 1, kh, kw) weight gradient.
+    """
+    kh, kw = kernel
+    sh, sw = (stride, stride) if isinstance(stride, int) else stride
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    Ho, Wo = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    gw = np.empty((x.shape[1], kh, kw), dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            view = xp[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw]
+            gw[:, u, v] = np.einsum("bchw,bchw->c", g, view)
+    return gw.reshape(x.shape[1], 1, kh, kw)
+
+
 def naive_pool2d(x, kind, kernel, stride=None):
     kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
     if stride is None:

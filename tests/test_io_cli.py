@@ -240,6 +240,20 @@ class TestRunConfig:
         with pytest.raises(config.ConfigError, match=key):
             config.load(path)
 
+    @pytest.mark.parametrize("key", ["train.encoder_lr", "train.decoder_lr", "train.lr_min",
+                                     "train.weight_decay", "train.aux_weight"])
+    @pytest.mark.parametrize("value", ["-0.001", "nan", "inf", "-inf"])
+    def test_float_settings_must_be_finite_and_nonnegative(self, key, value):
+        with pytest.raises(config.ConfigError, match=key):
+            config.load(overrides=(f"{key}={value}",))
+
+    def test_zero_is_valid_except_for_decoder_lr(self):
+        keys = ("train.encoder_lr", "train.lr_min", "train.weight_decay", "train.aux_weight")
+        cfg = config.load(overrides=tuple(f"{key}=0" for key in keys))
+        assert all(cfg[key] == 0.0 for key in keys)
+        with pytest.raises(config.ConfigError, match="train.decoder_lr"):
+            config.load(overrides=("train.decoder_lr=0",))
+
     def test_boundary_values_stay_valid(self):
         cfg = config.load(overrides=("train.epochs=0", "train.stop_miou=2.0",
                                      "data.image_size=96", "infer.window=1",
@@ -331,9 +345,14 @@ TINY = (
     (("dump-attn", "scene.ppm", "--set", "model.heads=3"), "heads"),
     (("gradcheck", "--instances", "0"), "--instances"),
     (("gradcheck", "--instances", "-1"), "--instances"),
+    (("train-toy", "--set", "train.decoder_lr=0"), "train.decoder_lr"),
+    (("train-toy", "--set", "train.encoder_lr=-0.003"), "train.encoder_lr"),
+    (("train-toy", "--set", "train.decoder_lr=nan"), "train.decoder_lr"),
+    (("train-toy", "--set", "train.aux_weight=inf"), "train.aux_weight"),
 ], ids=["zero_batch", "negative_epochs", "image_size_48", "train_heads",
         "zero_window", "negative_window", "zero_stride",
-        "infer_heads", "dump_attn_heads", "zero_instances", "negative_instances"])
+        "infer_heads", "dump_attn_heads", "zero_instances", "negative_instances",
+        "zero_decoder_lr", "negative_encoder_lr", "nan_decoder_lr", "inf_aux_weight"])
 def test_bad_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, argv, named):
     out = tmp_path / "o"
     assert run_cli(argv[0], "--out", str(out), *TINY, *argv[1:]) == 2

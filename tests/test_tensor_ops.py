@@ -11,8 +11,8 @@ from lightformer.gradcheck import PRIMITIVE_TOL, check_gradients
 from lightformer.tensor import tensor
 from lightformer.rng import stream
 
-from oracles import (naive_bilinear, naive_conv2d, naive_matmul, naive_nearest,
-                     naive_norm2d, naive_pool2d, naive_softmax, tap_conv2d)
+from oracles import (batch_major_conv2d, naive_bilinear, naive_conv2d, naive_matmul, naive_nearest,
+                     naive_norm2d, naive_pool2d, naive_softmax, tap_conv2d, tap_depthwise_weight_adjoint)
 
 
 def randt(rng, shape, dtype=np.float32):
@@ -114,6 +114,7 @@ CONV_GEOMETRIES = [
     dict(cin=4, cout=4, kernel=(3, 3), groups=4),  # depthwise, unpadded
     dict(cin=4, cout=4, kernel=(3, 3), padding=3, groups=4),  # padding >= kernel: the adjoint crops g
     dict(cin=4, cout=4, kernel=(3, 2), stride=2, padding=(3, 2), groups=4, dtype=np.float64),
+    dict(cin=4, cout=4, kernel=(2, 3), stride=3, padding=(0, 4), groups=4, dtype=np.float64),
 ]
 
 
@@ -286,10 +287,9 @@ def test_conv2d_1x1_adjoint_leaves_input_intact():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("groups", [1, 2])
 def test_conv2d_1x1_column_alias_is_read_only(dtype, groups):
-    # The window view of an unpadded stride-1 1x1 conv is x.data itself, and
-    # only its read-only flag keeps the adjoint from writing the column
-    # adjoint over it. After the backward, x.data is byte-identical and
-    # still writeable, and gx is the plain transposed product.
+    # The column buffer of an unpadded stride-1 1x1 conv is x.data itself.
+    # After the backward, x.data is byte-identical and still writeable, and
+    # gx is the plain transposed product.
     rng = stream(18, "conv.alias.flag", str(groups), np.dtype(dtype).name)
     x = Tensor(rng.standard_normal((2, 4, 5, 6)), dtype=dtype, requires_grad=True)
     w = Tensor(rng.standard_normal((6, 4 // groups, 1, 1)), dtype=dtype, requires_grad=True)
@@ -302,6 +302,81 @@ def test_conv2d_1x1_column_alias_is_read_only(dtype, groups):
     wg = w.data.reshape(groups, 6 // groups, 4 // groups)
     ref = np.einsum("goc,bgohw->bgchw", wg, g.reshape(2, groups, 6 // groups, 5, 6)).reshape(x.shape)
     np.testing.assert_allclose(gx, ref, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("kernel", [(3, 3), (3, 1)])
+def test_conv2d_full_window_column_alias_is_read_only(kernel):
+    # With one sample, a kernel as tall as its unpadded input and as wide or
+    # one column wide makes the folded window view contiguous, so the column
+    # buffer is x.data itself; only the view's read-only flag keeps the
+    # adjoint from writing the column adjoint over it.
+    rng = stream(19, "conv.alias.full", str(kernel))
+    x = Tensor(rng.standard_normal((1, 2, 3, 3)), dtype=np.float64, requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 2, *kernel)), dtype=np.float64, requires_grad=True)
+    before = x.data.tobytes()
+    with Tape() as tape:
+        y = ops.conv2d(x, w)
+    g = rng.standard_normal(y.shape)
+    gx, gw = tape.nodes[-1].backward(g)
+    assert x.data.tobytes() == before and x.data.flags.writeable
+    _, gx_ref, gw_ref, _ = batch_major_conv2d(x.data, w.data, None, g)
+    np.testing.assert_allclose(gx, gx_ref, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(gw, gw_ref, rtol=1e-13, atol=1e-13)
+
+
+# Dense and grouped geometries for the folded lowering: stride 2 with
+# asymmetric padding, a 1x3 kernel, a plain padded 3x3, and a padded 1x1
+# (its column buffer is a copy, so it is folded too).
+DENSE_FOLD_CASES = [((3, 3), 2, (1, 2)), ((1, 3), 1, (0, 1)), ((3, 3), 1, 1), ((1, 1), 1, (1, 0))]
+# At B > 1 the GEMMs run over other matrix shapes and may round otherwise;
+# the largest differences seen were below 3e-7 (float32) and 5e-16
+# (float64) of the largest magnitude.
+FOLD_TOL = {np.float32: 2e-6, np.float64: 1e-14}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("kernel,stride,padding", DENSE_FOLD_CASES)
+def test_conv2d_dense_matches_batch_major_oracle(dtype, batch, groups, kernel, stride, padding):
+    # One sample runs the same GEMMs as the batch-major lowering, so every
+    # byte agrees; over a batch, y, gx and gw agree to FOLD_TOL.
+    rng = stream(20, "conv.fold", np.dtype(dtype).name, str((batch, groups, kernel, stride, padding)))
+    x = Tensor(rng.standard_normal((batch, 4, 9, 10)), dtype=dtype, requires_grad=True)
+    w = Tensor(rng.standard_normal((6, 4 // groups, *kernel)), dtype=dtype, requires_grad=True)
+    b = Tensor(rng.standard_normal(6), dtype=dtype, requires_grad=True)
+    with Tape() as tape:
+        y = ops.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+    g = rng.standard_normal(y.shape).astype(dtype)
+    gx, gw, gb = tape.nodes[-1].backward(g)
+    refs = batch_major_conv2d(x.data, w.data, b.data, g, stride, padding, groups)
+    for got, ref in zip((y.data, gx, gw, gb), refs):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        if batch == 1:
+            assert got.tobytes() == ref.tobytes()
+        else:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=FOLD_TOL[dtype] * np.abs(ref).max())
+
+
+def test_conv2d_dense_weight_adjoint_memory():
+    # The weight gradient of the folded lowering is one GEMM over B*H'*W'
+    # columns. Summing per-sample products over the batch would first build a
+    # (B, groups, Cout/groups, K) temporary: 10.6 MB for this conv, whose
+    # gradient is 1.3 MB.
+    B, C, H, W = 8, 192, 2, 2
+    x = Tensor(np.ones((B, C, H, W), dtype=np.float32), requires_grad=True)
+    w = Tensor(np.ones((C, C, 3, 3), dtype=np.float32), requires_grad=True)
+    g = np.ones((B, C, H, W), dtype=np.float32)
+    col_bytes = 9 * x.data.nbytes
+    with Tape() as tape:
+        ops.conv2d(x, w, None, padding=1)
+    tracemalloc.start()
+    try:
+        tape.nodes[-1].backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < col_bytes + g.nbytes + w.data.nbytes + 2**18
 
 
 def test_conv2d_im2col_memory():
@@ -359,6 +434,31 @@ def test_conv2d_depthwise_adjoint_memory():
     finally:
         tracemalloc.stop()
     assert peak < padded_bytes + 2 * x.data.nbytes + 2.5 * 2**18
+
+
+# Strides 1, 2 and 3, non-square kernels, and padding wider than the kernel.
+DEPTHWISE_WEIGHT_CASES = [((3, 5), 1, (1, 2)), ((3, 5), 2, (1, 2)), ((3, 5), 3, (1, 2)), ((3, 3), 2, 4),
+                          ((2, 3), 3, (3, 4)), ((3, 2), (2, 3), (4, 2)), ((7, 7), 1, 3), ((1, 3), 1, (0, 1))]
+# The Hankel einsum sums each tap's products in another order than the
+# per-tap einsum; the largest differences seen were below 2e-7 (float32)
+# and 6e-16 (float64) of the largest weight gradient.
+DEPTHWISE_WEIGHT_TOL = {np.float32: 1e-5, np.float64: 1e-14}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,stride,padding", DEPTHWISE_WEIGHT_CASES)
+def test_conv2d_depthwise_weight_adjoint_matches_tap_oracle(dtype, kernel, stride, padding):
+    rng = stream(21, "conv.dw.weight", np.dtype(dtype).name, str((kernel, stride, padding)))
+    C = 5
+    x = Tensor(rng.standard_normal((2, C, 11, 12)), dtype=dtype, requires_grad=True)
+    w = Tensor(rng.standard_normal((C, 1, *kernel)), dtype=dtype, requires_grad=True)
+    with Tape() as tape:
+        y = ops.conv2d(x, w, None, stride=stride, padding=padding, groups=C)
+    g = rng.standard_normal(y.shape).astype(dtype)
+    _, gw = tape.nodes[-1].backward(g)
+    ref = tap_depthwise_weight_adjoint(x.data, g, kernel, stride, padding)
+    assert gw.shape == ref.shape and gw.dtype == ref.dtype
+    np.testing.assert_allclose(gw, ref, rtol=0, atol=DEPTHWISE_WEIGHT_TOL[dtype] * np.abs(ref).max())
 
 
 def test_conv2d_shape_errors():
