@@ -73,12 +73,6 @@ class BlockConfig:
             raise ValueError("invalid BlockConfig:\n  " + "\n  ".join(problems))
 
 
-def _pair(k):
-    if isinstance(k, int):
-        return (k, k)
-    return (int(k[0]), int(k[1]))
-
-
 def _activation(name: str):
     return {"relu": ops.relu, "gelu": ops.gelu}[name]
 
@@ -89,7 +83,7 @@ class Conv2d:
     def __init__(self, store: ParamStore, prefix: str, in_channels: int, out_channels: int,
                  kernel=1, stride=1, padding=0, groups: int = 1, bias: bool = True,
                  zero_init: bool = False):
-        kh, kw = _pair(kernel)
+        kh, kw = ops._pair(kernel)
         if in_channels % groups or out_channels % groups:
             raise ShapeError(f"{prefix}: groups={groups} must divide channels "
                              f"({in_channels} -> {out_channels})")
@@ -109,7 +103,7 @@ class Conv2d:
 
     def cost(self, rep, hw, batch: int) -> tuple:
         cout, _, kh, kw = self.weight.shape
-        (sh, sw), (ph, pw) = _pair(self.stride), _pair(self.padding)
+        (sh, sw), (ph, pw) = ops._pair(self.stride), ops._pair(self.padding)
         ho = (hw[0] + 2 * ph - kh) // sh + 1
         wo = (hw[1] + 2 * pw - kw) // sw + 1
         if self.bias is None:

@@ -481,13 +481,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     windows.flags.writeable = False
     col = np.ascontiguousarray(windows).reshape(groups, K, B * N)
     y = np.matmul(wg, col).reshape(Cout, B, Ho, Wo)
-    y = y.reshape(B, Cout, Ho, Wo) if B == 1 else np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
     if bias is not None:
         y += bias.data.reshape(1, Cout, 1, 1)
 
     def backward(g):
-        gt = g if B == 1 else np.ascontiguousarray(g.transpose(1, 0, 2, 3))
-        gt = gt.reshape(groups, Cout_g, B * N)
+        gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, Cout_g, B * N)
         gw = np.matmul(gt, col.swapaxes(-1, -2))
         gx = None
         if x.requires_grad:

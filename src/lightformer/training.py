@@ -136,17 +136,17 @@ class AdamW:
     group), and each tensor's ``.data`` is rebound to its view of it; the
     moments are flat too. These views are live: every step overwrites them
     in place, so a reference to a parameter's ``.data`` follows the
-    training (``ParamStore.state_arrays`` returns copies). A step walks
-    each lr group in 256 KiB blocks. It copies a block's share of the
-    gradients into a block-sized buffer, then runs in-place ``out=`` ufuncs
-    with one block-sized scratch array, in the order of the per-tensor
-    formulas, so the bytes are the same as updating each tensor on its own.
-    Between steps the optimizer holds the parameters and the two moments,
-    as a per-tensor update would.
-    A tensor whose ``.data`` was rebound since (by
-    ``ParamStore.load_state``, say) is copied back in and rebound at the
-    next step; it must keep its shape and dtype. A non-finite gradient
-    raises ``DivergenceError`` before anything moves.
+    training (``ParamStore.state_arrays`` returns copies). A step copies
+    the gradients into one flat gradient of that layout and dtype (zeros
+    for a missing one) and checks it once: a non-finite value, or one that
+    overflows in the cast, raises ``DivergenceError`` naming the first such
+    parameter in store order, before anything moves. Then, in 256 KiB
+    blocks of each lr group, in-place ``out=`` ufuncs follow the order of
+    the per-tensor formulas, so the bytes are the same as updating each
+    tensor on its own. Between steps the optimizer holds the parameters and
+    the two moments, as a per-tensor update would. A tensor whose ``.data``
+    was rebound since (by ``ParamStore.load_state``, say) is copied back in
+    and rebound at the next step; it must keep its shape and dtype.
     """
 
     # A step walks the flat buffers in blocks of this many bytes, so that a
@@ -172,28 +172,20 @@ class AdamW:
         dtype = np.dtype(dtypes[0] if dtypes else np.float32)
         self._flat, self._m, self._v = (np.zeros(total, dtype=dtype) for _ in range(3))
         block = self._BLOCK_BYTES // dtype.itemsize
-        self._block_len = min(block, total)
-        # (base lr, slice of the flat buffers, [(slot, slice of its raveled
-        # gradient, slice of the block)])
-        self._blocks = []
-        slot_of = {name: i for i, (name, _) in enumerate(named)}
-        views = {}
+        self._blocks = []  # (base lr, slice of the flat buffers)
+        slots = {}
         start = 0
         for lr, group in members.items():
             begin = start
-            spans = []
             for name, t in group:
-                view = self._flat[start : start + t.size].reshape(t.shape)
+                part = slice(start, start + t.size)
+                view = self._flat[part].reshape(t.shape)
                 view[...] = t.data
-                t.data = views[name] = view
-                spans.append((slot_of[name], start, start + t.size))
+                t.data = view
+                slots[name] = (view, part)
                 start += t.size
-            for b0 in range(begin, start, block):
-                b1 = min(b0 + block, start)
-                pieces = [(i, slice(max(lo, b0) - lo, min(hi, b1) - lo), slice(max(lo, b0) - b0, min(hi, b1) - b0))
-                          for i, lo, hi in spans if lo < b1 and hi > b0]
-                self._blocks.append((lr, slice(b0, b1), pieces))
-        self._slots = [(name, t, views[name]) for name, t in named]  # store order
+            self._blocks += [(lr, slice(b0, min(b0 + block, start))) for b0 in range(begin, start, block)]
+        self._slots = [(name, t, *slots[name]) for name, t in named]  # store order
 
     def _base_lr(self, name: str) -> float:
         best = None
@@ -208,8 +200,9 @@ class AdamW:
     def step(self, grads, lr_scale: float = 1.0) -> None:
         """One update from ``{parameter: gradient}``; a missing gradient counts as zero."""
         t = self.step_count + 1
-        flat_grads = []  # in slot order, each gradient raveled, or None
-        for name, p, view in self._slots:
+        # Made here, not kept: the step's peak is the backward sweep's.
+        flat_g = np.empty_like(self._flat)
+        for name, p, view, part in self._slots:
             if p.data is not view:
                 if p.data.shape != view.shape or p.data.dtype != view.dtype:
                     raise ShapeError(f"AdamW: {name!r} is now {p.data.dtype.name}{list(p.data.shape)}, "
@@ -217,29 +210,24 @@ class AdamW:
                 view[...] = p.data
                 p.data = view
             g = grads.get(p)
-            if g is not None:
-                if g.shape != view.shape:
-                    raise ShapeError(f"AdamW: gradient for {name!r} has shape {list(g.shape)}, "
-                                     f"expected {list(view.shape)}")
-                if not np.isfinite(g).all():
-                    raise DivergenceError(f"non-finite gradient for {name!r} at step {t}")
-                g = np.ravel(g)
-            flat_grads.append(g)
+            if g is None:
+                flat_g[part] = 0
+            elif g.shape != view.shape:
+                raise ShapeError(f"AdamW: gradient for {name!r} has shape {list(g.shape)}, "
+                                 f"expected {list(view.shape)}")
+            else:
+                flat_g[part].reshape(view.shape)[...] = g
+        if not np.isfinite(flat_g).all():
+            name = next(name for name, _, _, part in self._slots if not np.isfinite(flat_g[part]).all())
+            raise DivergenceError(f"non-finite gradient for {name!r} at step {t}")
         self.step_count = t
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        # Made here, not kept: the step's peak is the backward sweep's.
-        g_block, s_block = (np.empty(self._block_len, dtype=self._m.dtype) for _ in range(2))
-        for base_lr, part, pieces in self._blocks:
+        s_block = np.empty(min(self._BLOCK_BYTES // flat_g.itemsize, flat_g.size), flat_g.dtype)
+        for base_lr, part in self._blocks:
             lr = base_lr * lr_scale
-            n = part.stop - part.start
-            g, s = g_block[:n], s_block[:n]
-            for i, src, dst in pieces:
-                if flat_grads[i] is None:
-                    g[dst] = 0
-                else:
-                    g[dst] = flat_grads[i][src]
-            p, m, v = (a[part] for a in (self._flat, self._m, self._v))
+            p, m, v, g = (a[part] for a in (self._flat, self._m, self._v, flat_g))
+            s = s_block[: part.stop - part.start]
             np.multiply(p, 1.0 - lr * self.weight_decay, out=p)
             # m = beta1 * m + (1 - beta1) * g
             np.add(np.multiply(m, self.beta1, out=m), np.multiply(g, 1.0 - self.beta1, out=s), out=m)
@@ -252,7 +240,7 @@ class AdamW:
             np.divide(np.divide(m, bc1, out=s), g, out=s)
             np.subtract(p, np.multiply(s, lr, out=s), out=p)
         if not np.isfinite(self._flat).all():
-            name = next(name for name, _, p in self._slots if not np.isfinite(p).all())
+            name = next(name for name, _, p, _ in self._slots if not np.isfinite(p).all())
             raise DivergenceError(f"non-finite value in {name!r} after step {t}")
 
 

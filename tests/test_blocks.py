@@ -26,6 +26,15 @@ def _build(ctor, seed=0, dtype=np.float64):
     return mod, store
 
 
+def test_conv2d_takes_numpy_integer_geometry():
+    x = _rand((1, 2, 7, 7))
+    a, _ = _build(lambda s: bl.Conv2d(s, "c", 2, 3, kernel=3, stride=2, padding=1))
+    b, _ = _build(lambda s: bl.Conv2d(s, "c", 2, 3, kernel=np.int64(3), stride=np.int64(2),
+                                      padding=np.int64(1)))
+    assert b.weight.shape == (3, 2, 3, 3)
+    assert b.forward(x).data.tobytes() == a.forward(x).data.tobytes()
+
+
 class TestChannelShuffle:
     # Closed form: output channel j reads input channel (j % g) * (C/g) + j // g.
     FROZEN = {

@@ -399,6 +399,29 @@ class TestAdamW:
         for name, ref in params.items():
             assert store[name].data.tobytes() == ref.tobytes(), name
 
+    def _refused(self, opt, store, bad, pattern):
+        """The step raises DivergenceError matching ``pattern`` and moves nothing."""
+        before = [a.tobytes() for a in (opt._flat, opt._m, opt._v)]
+        with pytest.raises(tr.DivergenceError, match=pattern):
+            self._step(opt, store, bad)
+        assert [a.tobytes() for a in (opt._flat, opt._m, opt._v)] == before and opt.step_count == 0
+
+    def test_nonfinite_gradients_are_named_in_store_order(self):
+        # The flat layout puts the encoder group first, so "encoder.c" comes
+        # before "decoder.b" there; store order lists "decoder.b" first.
+        store, opt, _ = self._fresh(np.float64)
+        bad = self._grads(36, 1, np.float64)
+        bad["decoder.b"][3] = np.nan
+        bad["encoder.c"][0, 0, 1] = np.inf
+        self._refused(opt, store, bad, r"non-finite gradient for 'decoder\.b' at step 1")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_gradient_that_overflows_in_the_cast_moves_nothing(self):
+        store, opt, _ = self._fresh(np.float32)
+        bad = self._grads(37, 1, np.float32)
+        bad["decoder.d"] = np.full((2, 2), 1e300)  # finite in float64, inf in float32
+        self._refused(opt, store, bad, r"non-finite gradient for 'decoder\.d' at step 1")
+
 
 def test_train_step_memory():
     """One toy train step (B=8, 64x64) with its AdamW update. The sweep drops
