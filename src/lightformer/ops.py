@@ -415,7 +415,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     the depthwise case. Stride, padding, and kernel may differ per axis.
 
     groups == Cin == Cout (one filter per channel) runs ``_conv2d_depthwise``,
-    a multiply-accumulate over shifted views of the padded input, and an
+    banded GEMMs in 32-column blocks and 256 KiB channel chunks, and an
     unpadded stride-1 1x1 kernel runs ``_conv2d_1x1``, whose column buffer is
     the input itself. Every other grouping is lowered to im2col (Chellapilla
     et al., 2006) with the batch folded into the columns: a column buffer of
@@ -448,12 +448,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
         raise ShapeError(f"conv2d: groups {groups} does not divide output channels {Cout}")
     if Cin_g != Cin // groups:
         raise ShapeError(f"conv2d: weight expects {Cin_g} channels per group, input supplies {Cin // groups}")
-    if sh < 1 or sw < 1:
-        raise ShapeError(f"conv2d: stride must be positive, got {(sh, sw)}")
+    if sh < 1 or sw < 1 or ph < 0 or pw < 0:
+        raise ShapeError(f"conv2d: stride {(sh, sw)} must be positive and padding {(ph, pw)} non-negative")
     Ho = (H + 2 * ph - kh) // sh + 1
     Wo = (W + 2 * pw - kw) // sw + 1
-    if Ho < 1 or Wo < 1:
-        raise ShapeError(f"conv2d: kernel {(kh, kw)} exceeds padded input {(H + 2 * ph, W + 2 * pw)}")
+    if kh < 1 or kw < 1 or Ho < 1 or Wo < 1:
+        raise ShapeError(f"conv2d: kernel {(kh, kw)} is empty or exceeds padded input {(H + 2 * ph, W + 2 * pw)}")
     if bias is not None:
         _check_same_dtype("conv2d", x, bias)
         if bias.shape != (Cout,):
@@ -540,118 +540,118 @@ def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Tensor | None, wg) -> Tensor:
     return _result("conv2d", inputs, y, backward)
 
 
-def _depthwise_mac(src, row_len, weights, offsets, out_hw, stride):
-    """``out[b, c, i, j] = Σ_t weights[c, t] · src[b, c, offsets[t] + i·sh·row_len + j·sw]``.
+# Output columns per band block (a band grows as the square of its width),
+# and bytes of the row buffer X per channel chunk; see _conv2d_depthwise.
+_DW_BLOCK, _DW_CHUNK_BYTES = 32, 1 << 18
 
-    ``src`` is (B, C, L), each plane flattened with rows ``row_len`` apart
-    and long enough for every tap to read Ho·sh rows; ``out`` is (B, C, Ho,
-    Wo), returned. The taps are added in the order given into a zeroed accumulator,
-    one rounded product at a time. At stride 1 a tap's view is one flat
-    slice read as Ho full rows, so numpy's inner loop runs over the whole
-    slice instead of one Wo-long row at a time; the last row_len - Wo columns
-    of each such row wrap into the next row and are cropped when a channel
-    block is copied out. A stride other than 1 reads every ``sw``-th column
-    of rows ``sh`` rows apart, Wo of them. Nothing is copied per tap.
-    """
-    B, C = src.shape[:2]
-    (Ho, Wo), (sh, sw) = out_hw, stride
-    row = row_len if (sh, sw) == (1, 1) else Wo
-    out = np.empty((B, C, Ho, Wo), dtype=src.dtype)
-    # Channel blocks of about 256 KiB of output keep their slices of the
-    # accumulator, the source and the product in cache across all taps.
-    step = min(C, max(1, (1 << 18) // out[:, :1].nbytes))
-    acc_buf = np.empty((B, step, Ho, row), dtype=src.dtype)
-    prod = np.empty_like(acc_buf)
-    # Tap t's weights as a (1, C, 1, 1) view: taps[t]
-    taps = weights.T.reshape(len(offsets), 1, C, 1, 1)
-    for c in range(0, C, step):
-        sc = src[:, c : c + step]
-        n = sc.shape[1]
-        acc, pc = acc_buf[:, :n], prod[:, :n]
-        acc.fill(0)
-        for s, wt in zip(offsets, taps[:, :, c : c + step]):
-            rows = sc[:, :, s : s + Ho * sh * row_len].reshape(B, n, Ho, sh * row_len)
-            acc += np.multiply(wt, rows[..., : row * sw : sw], out=pc)
-        out[:, c : c + n] = acc[..., :Wo]
+
+def _band_blocks(out_w, sw, kw):
+    """Block width bw, block count nb, and the plane columns that the nb blocks read."""
+    bw = min(out_w, _DW_BLOCK)
+    nb = -(-out_w // bw)
+    return bw, nb, (nb * bw - 1) * sw + kw
+
+
+def _band_diagonals(band, kw, sw):
+    """View (C, kh, kw, bw) of a (C, kh·span, bw) band: (c, u, v, j) is ``band[c, u·span + j·sw + v, j]``."""
+    C, rows, bw = band.shape
+    span = (bw - 1) * sw + kw
+    t0, t1, t2 = band.strides
+    return np.ndarray((C, rows // span, kw, bw), band.dtype, buffer=band, strides=(t0, span * t1, t1, sw * t1 + t2))
+
+
+def _depthwise_band(w, bw, sw):
+    """The band (C, kh·span, bw) of the (C, kh, kw) kernels ``w``, written through its diagonals."""
+    band = np.zeros((w.shape[0], w.shape[1] * ((bw - 1) * sw + w.shape[2]), bw), dtype=w.dtype)
+    _band_diagonals(band, w.shape[2], sw)[...] = w[..., None]
+    return band
+
+
+def _band_chunks(plane, kernel, out_hw, stride):
+    """Yield ``(c0, X)``: X (n, B·Ho·nb, kh·span) is the row-only im2col of channels c0 .. c0 + n − 1 of ``plane``."""
+    B, C = plane.shape[:2]
+    (kh, kw), (Ho, Wo), (sh, sw) = kernel, out_hw, stride
+    bw, nb, _ = _band_blocks(Wo, sw, kw)
+    span = (bw - 1) * sw + kw
+    s0, s1, s2, s3 = plane.strides
+    rows = np.ndarray((C, B, Ho, nb, kh, span), plane.dtype, buffer=plane, strides=(s1, s0, sh * s2, bw * sw * s3, s2, s3))
+    rows.flags.writeable = False
+    buf = np.empty((min(C, max(1, _DW_CHUNK_BYTES // rows[0].nbytes)), *rows.shape[1:]), dtype=plane.dtype)
+    for c0 in range(0, C, len(buf)):
+        x = buf[: C - c0]
+        np.copyto(x, rows[c0 : c0 + len(buf)])
+        yield c0, x.reshape(len(x), B * Ho * nb, kh * span)
+
+
+def _banded_conv(plane, w, out, stride):
+    """Fill ``out`` (B, C, Ho, Wo) with the depthwise correlation of ``plane`` and ``w`` (C, kh, kw); return it."""
+    B, C, Ho, Wo = out.shape
+    for c0, x in _band_chunks(plane, w.shape[1:], (Ho, Wo), stride):
+        y = np.matmul(x, _depthwise_band(w[c0 : c0 + len(x)], min(Wo, _DW_BLOCK), stride[1]))
+        out[:, c0 : c0 + len(x)] = y.reshape(len(x), B, Ho, -1)[..., :Wo].transpose(1, 0, 2, 3)
     return out
 
 
 def _dilated_span(n, s, off, limit):
-    """Slices that place n samples ``s`` apart from ``off`` into [0, limit), dropping the rest.
-
-    Returns ``(destination, source)``.
-    """
+    """Slices ``(destination, source)`` that place n samples ``s`` apart from ``off`` into [0, limit), dropping the rest."""
     lo = max(0, -(off // s))
     hi = max(lo, min(n, -((off - limit) // s)))
     return slice(off + lo * s, off + hi * s, s), slice(lo, hi)
 
 
 def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, out_hw) -> Tensor:
-    """conv2d for groups == Cin == Cout: a multiply-accumulate per tap over views of zero-padded planes.
+    """conv2d for groups == Cin == Cout: banded GEMMs over zero-padded planes.
 
-    The forward runs ``_depthwise_mac`` over the padded input, tap (u, v)
-    at offset ``u·Wp + v``. The input adjoint is the same kernel run as a
-    gather over the output adjoint g: g is dilated by the stride (its
-    samples ``sh`` rows and ``sw`` columns apart), placed in a zeroed plane
-    of H + kh - 1 rows of Gw = W + kw - 1 that starts kh - 1 - ph rows and
-    kw - 1 - pw columns before it (cropped where the padding is wider than
-    the kernel), and tap (u, v) reads that plane at offset
-    ``(kh−1−u)·Gw + (kw−1−v)``. Once the weight adjoint is done, the
-    forward's padded input is dead, and the plane reuses it when it is large
-    enough. Both directions add one product per tap in row-major tap order,
-    the same floating-point operations as a per-tap grouped conv, so they
-    match one bit for bit: the products the gather adds for taps that miss g
-    are zeros, which leave a sum started at +0 unchanged. The weight adjoint
-    is one ``einsum("bcp,bcuvp->cuv")``: g dilated by the stride into a zeroed
-    (B, C, H', sh·Wp) plane of full padded rows, against a read-only
-    (B, C, kh, kw, H'·sh·Wp) Hankel view of the forward's flat padded input
-    whose element (u, v, p) is ``flat[u·Wp + v + p]``. Positions of the plane
-    that hold no sample of g add zero products. The plane is dropped before
-    the input adjoint reuses the padded input. This sum matches a per-tap
-    reduction only to rounding. An input that does not require a gradient
-    gets ``None``.
+    Along an output row a depthwise conv is a product with a banded
+    (Toeplitz) matrix of the channel's kernel rows. The output columns are
+    cut into nb blocks of bw = min(W', 32) that share one band T (kh·span,
+    bw), ``T[u·span + j·sw + v, j] = w[u, v]``, span = (bw − 1)·sw + kw; the
+    plane is widened with zeros for the last block. Per chunk of channels
+    (about 256 KiB of X), ``_band_chunks`` copies the kh padded rows each
+    output block reads into a row-only im2col X (n, B·H'·nb, kh·span), and
+    the forward is one batched ``X @ T`` written straight into the output.
+    The weight adjoint rebuilds X from the kept padded plane and sums
+    M = Xᵀ·g along the band's diagonals. The input adjoint is the forward
+    with the kernel flipped, run over g dilated by the stride in a zeroed
+    plane (H + kh - 1 rows of W + kw - 1 columns, widened for the blocks,
+    starting kh - 1 - ph rows and kw - 1 - pw columns before g and cropped
+    where the padding is wider than the kernel) that reuses the padded
+    input once gw is done. The GEMMs round differently from a per-tap
+    accumulation. An input that does not require a gradient gets ``None``.
     """
     (sh, sw), (ph, pw), (Ho, Wo) = stride, padding, out_hw
     B, C, H, W = x.shape
     kh, kw = weight.shape[2:]
-    Hp, Wp = H + 2 * ph, W + 2 * pw
     wt = weight.data[:, 0]
-    # Slack past the last plane keeps the last tap's Ho*sh rows in bounds.
-    flat = np.zeros((B, C, Hp * Wp + (sh - 1) * Wp + kw - 1), dtype=x.dtype)
-    flat[:, :, : Hp * Wp].reshape(B, C, Hp, Wp)[:, :, ph : ph + H, pw : pw + W] = x.data
-    offsets = [u * Wp + v for u in range(kh) for v in range(kw)]
-    out = _depthwise_mac(flat, Wp, wt.reshape(C, -1), offsets, (Ho, Wo), (sh, sw))
+    bw, nb, cols = _band_blocks(Wo, sw, kw)
+    xp = np.zeros((B, C, H + 2 * ph, max(W + 2 * pw, cols)), dtype=x.dtype)
+    xp[:, :, ph : ph + H, pw : pw + W] = x.data
+    out = _banded_conv(xp, wt, np.empty((B, C, Ho, Wo), dtype=x.dtype), (sh, sw))
     if bias is not None:
         out += bias.data.reshape(1, C, 1, 1)
 
     def backward(g):
-        # g dilated by the stride into zeroed full padded rows, against the
-        # Hankel view hankel[b, c, u, v, p] = flat[b, c, u·Wp + v + p]:
-        # sample (i, j) of g sits at p = i·sh·Wp + j·sw, which the view maps
-        # to padded pixel (i·sh + u, j·sw + v).
-        P = Ho * sh * Wp
-        gd = np.zeros((B, C, Ho, sh * Wp), dtype=g.dtype)
-        gd[:, :, :, : sw * (Wo - 1) + 1 : sw] = g
-        s0, s1, s2 = flat.strides
-        hankel = np.ndarray((B, C, kh, kw, P), flat.dtype, buffer=flat,
-                            strides=(s0, s1, Wp * s2, s2, s2))
-        hankel.flags.writeable = False
-        gw = np.einsum("bcp,bcuvp->cuv", gd.reshape(B, C, P), hankel)
-        del gd, hankel
+        gw = np.empty((C, kh, kw), dtype=x.dtype)
+        for c0, xc in _band_chunks(xp, (kh, kw), (Ho, Wo), (sh, sw)):
+            gb = np.zeros((len(xc), B, Ho, nb * bw), dtype=g.dtype)
+            gb[..., :Wo] = g[:, c0 : c0 + len(xc)].transpose(1, 0, 2, 3)
+            diag = _band_diagonals(np.matmul(xc.swapaxes(1, 2), gb.reshape(len(xc), -1, bw)), kw, sw)
+            diag.flags.writeable = False
+            gw[c0 : c0 + len(xc)] = diag.sum(axis=-1)
+        del xc, gb, diag  # the last chunk's buffers, before the gather
         gx = None
         if x.requires_grad:
             Gh, Gw = H + kh - 1, W + kw - 1
-            size = B * C * (Gh * Gw + kw - 1)
-            # flat is dead now, so the plane may overwrite it (this makes the
+            size = B * C * Gh * _band_blocks(W, 1, kw)[2]
+            # xp is dead now, so the plane may overwrite it (this makes the
             # closure single-use, as the tape already is).
-            buf = flat.reshape(-1)[:size] if flat.size >= size else np.empty(size, x.dtype)
+            buf = xp.reshape(-1)[:size] if xp.size >= size else np.empty(size, x.dtype)
             buf.fill(0)
-            plane = buf.reshape(B, C, -1)
+            plane = buf.reshape(B, C, Gh, -1)
             rows, g_rows = _dilated_span(Ho, sh, kh - 1 - ph, Gh)
             cols, g_cols = _dilated_span(Wo, sw, kw - 1 - pw, Gw)
-            plane[:, :, : Gh * Gw].reshape(B, C, Gh, Gw)[:, :, rows, cols] = g[:, :, g_rows, g_cols]
-            offsets = [(kh - 1 - u) * Gw + kw - 1 - v for u in range(kh) for v in range(kw)]
-            gx = _depthwise_mac(plane, Gw, wt.reshape(C, -1), offsets, (H, W), (1, 1))
+            plane[:, :, rows, cols] = g[:, :, g_rows, g_cols]
+            gx = _banded_conv(plane, wt[:, ::-1, ::-1], np.empty_like(x.data), (1, 1))
         grads = [gx, gw.reshape(C, 1, kh, kw)]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))

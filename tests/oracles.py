@@ -41,8 +41,8 @@ def tap_conv2d(x, w, b, g, stride=1, padding=0, groups=1):
     ``g`` is the output adjoint. Returns ``(y, gx, gw, gb)``, with ``gb``
     None when ``b`` is. This is the loop ``ops.conv2d`` ran before its
     im2col lowering. Taps run in row-major order and each adds its products
-    into the output and the input adjoint, the same operations as the
-    depthwise path, so it is that path's bitwise reference.
+    into the output and the input adjoint. It is the reference for the
+    depthwise path's banded GEMMs, which agree with it to rounding.
     """
     sh, sw = (stride, stride) if isinstance(stride, int) else stride
     ph, pw = (padding, padding) if isinstance(padding, int) else padding
@@ -124,7 +124,7 @@ def batch_major_conv2d(x, w, b, g, stride=1, padding=0, groups=1):
 def tap_depthwise_weight_adjoint(x, g, kernel, stride=1, padding=0):
     """Weight adjoint of a depthwise conv, one ``einsum`` per tap over that
     tap's strided view of the zero-padded input: the loop
-    ``ops._conv2d_depthwise`` ran before its single Hankel-view ``einsum``.
+    ``ops._conv2d_depthwise`` ran before it summed all taps at once.
 
     ``x`` is (B, C, H, W) and ``g`` the (B, C, H', W') output adjoint.
     Returns the (C, 1, kh, kw) weight gradient.
