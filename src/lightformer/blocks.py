@@ -132,23 +132,22 @@ class BatchNorm2d:
     """Per-channel normalization over (batch, height, width), one ``ops.norm2d`` node.
 
     Training mode normalizes with batch statistics and folds them into the
-    running buffers with momentum 0.1; the running variance stores the same
-    biased batch estimate used for normalization. Eval mode hands the
-    buffers to the same op, which computes ``(x - m) / sqrt(v + eps)``
-    exactly as training does, so freezing immediately after one training
-    pass with momentum 1 reproduces that pass bit for bit on the same
-    batch. Both modes have adjoints for x, gamma and beta. For forward-only
-    inference, ``fold_batch_norms`` instead merges each eval batch norm that
+    running buffers with the class constant ``momentum``; the running
+    variance stores the same biased batch estimate used for normalization.
+    Eval mode hands the buffers to the same op, which computes ``(x - m) /
+    sqrt(v + eps)`` exactly as training does, so freezing right after one
+    training pass with ``momentum`` set to 1 on the instance reproduces that
+    pass bit for bit. Both modes have adjoints for x, gamma and beta. For
+    forward-only inference, ``fold_batch_norms`` instead merges each eval batch norm that
     follows a conv into that conv's weight and bias.
     """
 
-    def __init__(self, store: ParamStore, prefix: str, channels: int,
-                 eps: float = 1e-5, momentum: float = 0.1):
+    eps, momentum = 1e-5, 0.1
+
+    def __init__(self, store: ParamStore, prefix: str, channels: int):
         self.store = store
         self.prefix = prefix
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = store.add(f"{prefix}.gamma", (channels,), ("ones",))
         self.beta = store.add(f"{prefix}.beta", (channels,), ("zeros",))
         self.running_mean = store.add(f"{prefix}.running_mean", (channels,),
@@ -173,10 +172,12 @@ class BatchNorm2d:
 
 class GroupNorm2d:
     """Stateless per-sample normalization over channel groups, one
-    ``ops.norm2d`` node; train == eval."""
+    ``ops.norm2d`` node; train == eval. ``eps`` is a class constant."""
+
+    eps = 1e-5
 
     def __init__(self, store: ParamStore, prefix: str, channels: int,
-                 groups: int | None = None, eps: float = 1e-5):
+                 groups: int | None = None):
         if groups is None:
             groups = next(g for g in (8, 4, 2, 1) if channels % g == 0)
         if channels % groups:
@@ -185,7 +186,6 @@ class GroupNorm2d:
         self.prefix = prefix
         self.channels = channels
         self.groups = groups
-        self.eps = eps
         self.gamma = store.add(f"{prefix}.gamma", (channels,), ("ones",))
         self.beta = store.add(f"{prefix}.beta", (channels,), ("zeros",))
 
@@ -206,29 +206,25 @@ def make_norm(store: ParamStore, prefix: str, channels: int, kind: str):
 
 
 class ConvNormAct:
-    """conv -> norm -> activation; the conv drops its bias when a norm follows."""
+    """conv (one group) -> norm -> activation; the conv drops its bias when a norm follows."""
 
     def __init__(self, store: ParamStore, prefix: str, in_channels: int, out_channels: int,
-                 kernel=1, stride=1, padding=0, groups: int = 1,
-                 norm: str = "batch", activation: str | None = "relu"):
+                 kernel=1, stride=1, padding=0, norm: str = "batch", activation: str = "relu"):
         self.prefix = prefix
         self.conv = Conv2d(store, f"{prefix}.conv", in_channels, out_channels, kernel,
-                           stride=stride, padding=padding, groups=groups,
-                           bias=(norm == "none"))
+                           stride=stride, padding=padding, bias=(norm == "none"))
         self.norm = make_norm(store, f"{prefix}.norm", out_channels, norm)
-        self.act = _activation(activation) if activation else None
+        self.act = _activation(activation)
 
     def fold_norm(self) -> None:
         self.norm = fold_into_conv(self.conv, self.norm)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        y = self.norm.forward(self.conv.forward(x), train)
-        return self.act(y) if self.act else y
+        return self.act(self.norm.forward(self.conv.forward(x), train))
 
     def cost(self, rep, hw, batch: int) -> tuple:
         hw = self.norm.cost(rep, self.conv.cost(rep, hw, batch), batch)
-        if self.act:
-            rep.add(f"{self.prefix}.act", ops=batch * self.conv.weight.shape[0] * hw[0] * hw[1])
+        rep.add(f"{self.prefix}.act", ops=batch * self.conv.weight.shape[0] * hw[0] * hw[1])
         return hw
 
 

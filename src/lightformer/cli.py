@@ -48,6 +48,12 @@ def _standardize_u8(image_u8: np.ndarray, cfg: RunConfig) -> np.ndarray:
     return tr.standardize(chw, cfg["data.mean"], cfg["data.std"])
 
 
+def _pad_to_multiple(image: np.ndarray) -> np.ndarray:
+    """Zero-pad a (C, H, W) image bottom/right to sides the model accepts."""
+    pad_b, pad_r = (-image.shape[-2]) % INPUT_MULTIPLE, (-image.shape[-1]) % INPUT_MULTIPLE
+    return np.pad(image, ((0, 0), (0, pad_b), (0, pad_r))) if pad_b or pad_r else image
+
+
 def cmd_analyze(cfg: RunConfig, args) -> int:
     shapes = eff.TABLE_SHAPES
     if args.shape:
@@ -255,12 +261,8 @@ def cmd_infer(cfg: RunConfig, args) -> int:
     num_classes = cfg["model.num_classes"]
 
     def infer_fn(tile: np.ndarray) -> np.ndarray:
-        # Zero-pad bottom/right to sides the model accepts; crop the logits back.
         h, w = tile.shape[-2:]
-        pad_b, pad_r = (-h) % INPUT_MULTIPLE, (-w) % INPUT_MULTIPLE
-        if pad_b or pad_r:
-            tile = np.pad(tile, ((0, 0), (0, pad_b), (0, pad_r)))
-        logits, _ = model.forward(Tensor(tile[None].astype(np.float32)), train=False)
+        logits, _ = model.forward(Tensor(_pad_to_multiple(tile)[None].astype(np.float32)), train=False)
         return logits.data[0, :, :h, :w]
 
     logits = tr.sliding_window_infer(image, window, stride, infer_fn, num_classes)
@@ -299,21 +301,27 @@ def _to_heat_pgm(path: str, unit_map: np.ndarray) -> None:
 
 def cmd_dump_attn(cfg: RunConfig, args) -> int:
     dcfg = cfg.decoder_config()
+    image = _standardize_u8(fileio.read_ppm(args.image), cfg)
     out_dir = _prepare_out(cfg, args)
     checkpoint = args.checkpoint or os.path.join(out_dir, "checkpoint.lftc")
     model = _load_model(dcfg, cfg.seed, checkpoint)
-    image = _standardize_u8(fileio.read_ppm(args.image), cfg)
+    padded = _pad_to_multiple(image)
     with capture() as maps:
-        model.forward(Tensor(image[None]), train=False)
+        model.forward(Tensor(padded[None]), train=False)
+
+    def crop(m: np.ndarray) -> np.ndarray:
+        # A map at stride s keeps the ceil(side / s) cells that see the image.
+        (h, w), (hp, wp) = image.shape[-2:], padded.shape[-2:]
+        return m[: -(-h * m.shape[0] // hp), : -(-w * m.shape[1] // wp)]
 
     written = []
     for stage in (1, 2, 3):
         entry = maps[f"decoder.lcrm{stage}.global.attn.probs"]
-        heat = attention_entropy_map(entry)[0]
+        heat = crop(attention_entropy_map(entry)[0])
         path = os.path.join(out_dir, f"attn_lcrm{stage}.pgm")
         _to_heat_pgm(path, heat)
         written.append(path)
-    sism_map = maps["decoder.sism.attn"][0, 0]
+    sism_map = crop(maps["decoder.sism.attn"][0, 0])
     # Mathematically the sigmoid stays inside (0, 1); float32 rounding may
     # touch the endpoints once the head saturates, which is still valid.
     if sism_map.min() < 0.0 or sism_map.max() > 1.0:

@@ -58,8 +58,14 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(part) for part in text.split(","))
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(","))
+def _per_channel(parse_one=float):
+    """Parser for three comma-separated finite values (R, G, B), each read by ``parse_one``."""
+    def parse(text: str) -> tuple:
+        values = tuple(parse_one(part) for part in text.split(","))
+        if len(values) != 3 or not all(map(math.isfinite, values)):
+            raise ValueError(f"must be three finite numbers, one per RGB channel, got {text.strip()!r}")
+        return values
+    return parse
 
 
 def _fmt(value) -> str:
@@ -89,8 +95,8 @@ SCHEMA = {
     "data.image_size": (_int_from(MIN_SIZE, INPUT_MULTIPLE), 64),
     "data.train_count": (_int_from(1), 200),
     "data.val_count": (_int_from(1), 50),
-    "data.mean": (_parse_floats, (0.5, 0.5, 0.5)),
-    "data.std": (_parse_floats, (0.25, 0.25, 0.25)),
+    "data.mean": (_per_channel(), (0.5, 0.5, 0.5)),
+    "data.std": (_per_channel(_float_from(0.0, inclusive=False)), (0.25, 0.25, 0.25)),
     "train.epochs": (_int_from(0), 30),
     "train.batch_size": (_int_from(1), 8),
     "train.encoder_lr": (_float_from(0.0), 3e-3),

@@ -41,8 +41,8 @@ class CostRow:
 class CostReport:
     """Ordered per-layer rows plus column totals."""
 
-    def __init__(self, rows=()):
-        self.rows: list[CostRow] = list(rows)
+    def __init__(self):
+        self.rows: list[CostRow] = []
 
     def add(self, name: str, params: int = 0, macs: int = 0, ops: int = 0) -> None:
         self.rows.append(CostRow(name, int(params), int(macs), int(ops)))

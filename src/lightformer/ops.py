@@ -482,8 +482,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     col = np.ascontiguousarray(windows).reshape(groups, K, B * N)
     y = np.matmul(wg, col).reshape(Cout, B, Ho, Wo)
     y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
-    if bias is not None:
-        y += bias.data.reshape(1, Cout, 1, 1)
 
     def backward(g):
         gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, Cout_g, B * N)
@@ -500,13 +498,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
                 for v in range(kw):
                     gxt[:, :, u : u + sh * (Ho - 1) + 1 : sh, v : v + sw * (Wo - 1) + 1 : sw] += gcol[:, u, v]
             gx = np.ascontiguousarray(gxp[:, :, ph : ph + H, pw : pw + W])
-        grads = [gx, gw.reshape(Cout, Cin_g, kh, kw)]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        return gx, gw.reshape(weight.shape)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _result("conv2d", inputs, y, backward)
+    return _conv_result(x, weight, bias, y, backward)
+
+
+def _conv_result(x: Tensor, weight: Tensor, bias: Tensor | None, y, backward) -> Tensor:
+    """Add the bias to ``y`` in place and record the conv; ``backward(g)`` returns ``(gx, gw)``."""
+    if bias is None:
+        return _result("conv2d", (x, weight), y, backward)
+    y += bias.data.reshape(1, -1, 1, 1)
+    return _result("conv2d", (x, weight, bias), y, lambda g: (*backward(g), g.sum(axis=(0, 2, 3))))
 
 
 def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Tensor | None, wg) -> Tensor:
@@ -522,8 +524,6 @@ def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Tensor | None, wg) -> Tensor:
     Cout = groups * Cout_g
     col = x.data.reshape(B, groups, K, H * W)
     y = np.matmul(wg, col).reshape(B, Cout, H, W)
-    if bias is not None:
-        y += bias.data.reshape(1, Cout, 1, 1)
 
     def backward(g):
         gg = g.reshape(B, groups, Cout_g, H * W)
@@ -531,13 +531,9 @@ def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Tensor | None, wg) -> Tensor:
         gx = None
         if x.requires_grad:
             gx = np.matmul(wg.swapaxes(-1, -2), gg).reshape(B, Cin, H, W)
-        grads = [gx, gw.reshape(weight.shape)]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        return gx, gw.reshape(weight.shape)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _result("conv2d", inputs, y, backward)
+    return _conv_result(x, weight, bias, y, backward)
 
 
 # Output columns per band block (a band grows as the square of its width),
@@ -627,8 +623,6 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, pa
     xp = np.zeros((B, C, H + 2 * ph, max(W + 2 * pw, cols)), dtype=x.dtype)
     xp[:, :, ph : ph + H, pw : pw + W] = x.data
     out = _banded_conv(xp, wt, np.empty((B, C, Ho, Wo), dtype=x.dtype), (sh, sw))
-    if bias is not None:
-        out += bias.data.reshape(1, C, 1, 1)
 
     def backward(g):
         gw = np.empty((C, kh, kw), dtype=x.dtype)
@@ -652,13 +646,9 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, pa
             cols, g_cols = _dilated_span(Wo, sw, kw - 1 - pw, Gw)
             plane[:, :, rows, cols] = g[:, :, g_rows, g_cols]
             gx = _banded_conv(plane, wt[:, ::-1, ::-1], np.empty_like(x.data), (1, 1))
-        grads = [gx, gw.reshape(C, 1, kh, kw)]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        return gx, gw.reshape(weight.shape)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _result("conv2d", inputs, out, backward)
+    return _conv_result(x, weight, bias, out, backward)
 
 
 def pool2d(x: Tensor, kind: str, kernel, stride=None) -> Tensor:

@@ -22,8 +22,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-_DTYPES = (np.float32, np.float64)
-
 
 class ShapeError(ValueError):
     """A shape or dtype precondition failed; the message names the offending dim."""

@@ -18,13 +18,14 @@ from .params import ParamStore
 from .tensor import ShapeError, Tensor
 
 IGNORE_LABEL = 255
+DICE_EPS = 1e-6  # added to the Dice denominator p_true + 1
 
 
 class DivergenceError(RuntimeError):
     """A gradient or update became non-finite; the message names param and step."""
 
 
-def _prep_targets(logits: Tensor, labels, ignore_label: int):
+def _prep_targets(logits: Tensor, labels):
     """One-hot targets, the not-ignored mask and its count; validates label range.
 
     Returns ``(onehot, mask, count)``: two constant tensors of the logits'
@@ -37,11 +38,11 @@ def _prep_targets(logits: Tensor, labels, ignore_label: int):
     b, k, h, w = logits.shape
     if labels.shape != (b, h, w):
         raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    keep = labels != ignore_label
+    keep = labels != IGNORE_LABEL
     bad = keep & ((labels < 0) | (labels >= k))
     if bad.any():
         offender = labels[bad].flat[0]
-        raise ValueError(f"label {offender} outside [0, {k}) and not the ignore value {ignore_label}")
+        raise ValueError(f"label {offender} outside [0, {k}) and not the ignore value {IGNORE_LABEL}")
     count = int(keep.sum())
     if count == 0:
         raise ValueError("every pixel is ignored; loss is undefined")
@@ -56,32 +57,31 @@ def _true_class_prob(logits: Tensor, onehot: Tensor) -> Tensor:
     return ops.sum_(ops.mul(probs, onehot), axes=(1,), keepdims=True)
 
 
-def cross_entropy_loss(logits: Tensor, labels, ignore_label: int = IGNORE_LABEL,
-                       targets=None) -> Tensor:
-    """Mean -log p(true class) over non-ignored pixels, clamped at 1e-12.
-
-    ``targets``, when given, is ``_prep_targets``' result for these logits'
-    shape and labels, and ``labels`` is then not read.
-    """
-    onehot, mask, count = targets or _prep_targets(logits, labels, ignore_label)
-    p_true = _true_class_prob(logits, onehot)
-    losses = ops.neg(ops.log(ops.clamp_min(p_true, 1e-12)))
-    return ops.mul(ops.sum_(ops.mul(losses, mask)), 1.0 / count)
+def _ce(p_true: Tensor, mask: Tensor, count: int) -> Tensor:
+    """Mean -log p_true over the kept pixels; the minus sign rides on the final scale."""
+    logs = ops.log(ops.clamp_min(p_true, 1e-12))
+    return ops.mul(ops.sum_(ops.mul(logs, mask)), -1.0 / count)
 
 
-def dice_loss(logits: Tensor, labels, ignore_label: int = IGNORE_LABEL,
-              eps: float = 1e-6, targets=None) -> Tensor:
-    """1 - (2/N) sum p_true/(p_true + 1 + eps); zero iff every p_true is 1.
+def _dice(p_true: Tensor, mask: Tensor, count: int) -> Tensor:
+    overlap = ops.div(p_true, ops.add(p_true, 1.0 + DICE_EPS))
+    return ops.add(ops.mul(ops.sum_(ops.mul(overlap, mask)), -2.0 / count), 1.0)
+
+
+def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
+    """Mean -log p(true class) over non-ignored pixels, clamped at 1e-12."""
+    onehot, mask, count = _prep_targets(logits, labels)
+    return _ce(_true_class_prob(logits, onehot), mask, count)
+
+
+def dice_loss(logits: Tensor, labels) -> Tensor:
+    """1 - (2/N) sum p_true/(p_true + 1 + DICE_EPS); zero iff every p_true is 1.
 
     The class sum collapses to the true-class term because the target is
-    one-hot: off-class terms contribute p*0/(p+0+eps) = 0. ``targets`` is
-    as in ``cross_entropy_loss``.
+    one-hot: off-class terms contribute p*0/(p+0+eps) = 0.
     """
-    onehot, mask, count = targets or _prep_targets(logits, labels, ignore_label)
-    p_true = _true_class_prob(logits, onehot)
-    overlap = ops.div(p_true, ops.add(p_true, 1.0 + eps))
-    total = ops.sum_(ops.mul(overlap, mask))
-    return ops.add(ops.mul(total, -2.0 / count), 1.0)
+    onehot, mask, count = _prep_targets(logits, labels)
+    return _dice(_true_class_prob(logits, onehot), mask, count)
 
 
 @dataclass
@@ -93,13 +93,14 @@ class LossBundle:
 
 
 def total_loss(logits: Tensor, aux_logits, labels, train: bool,
-               aux_weight: float = 0.4, ignore_label: int = IGNORE_LABEL) -> LossBundle:
+               aux_weight: float = 0.4) -> LossBundle:
     """CE + Dice, plus ``aux_weight`` times the mean auxiliary CE in training.
 
     The targets are built once and shared by every term, so each aux logits
-    map must have the main logits' shape and dtype.
+    map must have the main logits' shape and dtype. Each term, with its own
+    true-class probability, has the bytes of its public loss function.
     """
-    targets = _prep_targets(logits, labels, ignore_label)
+    onehot, mask, count = _prep_targets(logits, labels)
     if train:
         if not aux_logits:
             raise ValueError("training mode requires auxiliary logits (aux heads are part of the objective)")
@@ -109,12 +110,12 @@ def total_loss(logits: Tensor, aux_logits, labels, train: bool,
                                  f"are {logits.dtype.name} {logits.shape}")
     elif aux_logits:
         raise ValueError("eval mode received auxiliary logits; they are train-only")
-    ce = cross_entropy_loss(logits, labels, ignore_label, targets=targets)
-    dice = dice_loss(logits, labels, ignore_label, targets=targets)
+    ce = _ce(_true_class_prob(logits, onehot), mask, count)
+    dice = _dice(_true_class_prob(logits, onehot), mask, count)
     total = ops.add(ce, dice)
     aux = None
     if train:
-        terms = [cross_entropy_loss(a, labels, ignore_label, targets=targets) for a in aux_logits]
+        terms = [_ce(_true_class_prob(a, onehot), mask, count) for a in aux_logits]
         acc = terms[0]
         for t in terms[1:]:
             acc = ops.add(acc, t)
@@ -126,10 +127,11 @@ def total_loss(logits: Tensor, aux_logits, labels, train: bool,
 class AdamW:
     """Decoupled-weight-decay Adam (Loshchilov & Hutter, 2019) over a ParamStore.
 
-    ``lr_groups`` maps name prefixes to base learning rates; the longest
-    matching prefix wins and every parameter must match one. Decay is
-    applied multiplicatively before the moment update, so one step with a
-    zero gradient multiplies a parameter by exactly (1 - lr * wd).
+    The moment decays and the epsilon are the class constants ``beta1``,
+    ``beta2`` and ``eps``. ``lr_groups`` maps name prefixes to base learning
+    rates; the longest matching prefix wins and every parameter must match
+    one. Decay is applied multiplicatively before the moment update, so one
+    step with a zero gradient multiplies a parameter by exactly (1 - lr * wd).
 
     The state lives in flat buffers. One buffer holds every trainable
     tensor, laid out one lr group after another (store order within a
@@ -152,14 +154,12 @@ class AdamW:
     # A step walks the flat buffers in blocks of this many bytes, so that a
     # block's slices of all five arrays stay in cache between its ufuncs.
     _BLOCK_BYTES = 1 << 18
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, store: ParamStore, lr_groups: dict, weight_decay: float = 1e-2,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, store: ParamStore, lr_groups: dict, weight_decay: float = 1e-2):
         self.store = store
         self.lr_groups = dict(lr_groups)
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         named = store.trainable()
         dtypes = sorted({t.dtype.name for _, t in named})
@@ -273,13 +273,13 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def update(self, pred, truth, ignore_label: int = IGNORE_LABEL) -> None:
+    def update(self, pred, truth) -> None:
         pred = np.asarray(pred)
         truth = np.asarray(truth)
         if pred.shape != truth.shape:
             raise ShapeError(f"pred shape {pred.shape} != truth shape {truth.shape}")
         k = self.num_classes
-        keep = truth != ignore_label
+        keep = truth != IGNORE_LABEL
         p = pred[keep]
         t = truth[keep]
         if ((p < 0) | (p >= k)).any():

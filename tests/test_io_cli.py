@@ -360,6 +360,25 @@ def test_bad_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, argv, n
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [("train-toy",), ("infer", "scene.ppm")], ids=["train_toy", "infer"])
+@pytest.mark.parametrize("setting", ["data.std=0.25,0.25", "data.std=0,0.25,0.25", "data.std=-1,1,1",
+                                     "data.mean=nan,0.5,0.5", "data.mean=0.5,0.5,0.5,0.5"],
+                         ids=["two_stds", "zero_std", "negative_std", "nan_mean", "four_means"])
+def test_bad_channel_statistics_are_usage_errors_and_write_nothing(tmp_path, capsys, command, setting):
+    """data.mean and data.std take three finite numbers, std above 0; the
+    error names the key from a config file and from ``--set`` alike."""
+    key, _, value = setting.partition("=")
+    section, _, name = key.partition(".")
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{section}]\n{name} = {value}\n")
+    with pytest.raises(config.ConfigError, match=key):
+        config.load(path)
+    out = tmp_path / "o"
+    assert run_cli(command[0], "--out", str(out), *TINY, *command[1:], "--set", setting) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCliTrainToy:
     def test_epochs_zero_writes_baseline_and_checkpoint(self, tmp_path):
         out = tmp_path / "run"
@@ -488,6 +507,21 @@ class TestCliInferAndAttn:
                            ("attn_lcrm3.pgm", 8)):
             heat = fileio.read_pgm(trained / name)
             assert heat.shape == (side, side), name
+
+    def test_dump_attn_any_image_size(self, trained, tmp_path):
+        """A 50x70 image is padded as infer pads it; each map keeps the
+        ceil(side / stride) cells that see the image."""
+        scene = tmp_path / "odd.ppm"
+        fileio.write_ppm(scene, np.arange(50 * 70 * 3).reshape(50, 70, 3).astype(np.uint8))
+        assert run_cli("dump-attn", str(scene), "--out", str(trained), *TINY) == 0
+        for name, shape in (("attn_lcrm1.pgm", (2, 3)), ("attn_lcrm2.pgm", (4, 5)),
+                            ("attn_lcrm3.pgm", (7, 9)), ("attn_sism.pgm", (13, 18))):
+            assert fileio.read_pgm(trained / name).shape == shape, name
+
+    def test_dump_attn_unreadable_image_writes_nothing(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("dump-attn", str(tmp_path / "missing.ppm"), "--out", str(out), *TINY) == 1
+        assert not out.exists()
 
     def test_entropy_map_normalization(self):
         probs = np.full((4, 4, 4), 0.25)  # 2x2 windows, uniform rows

@@ -201,7 +201,7 @@ def test_prep_targets_onehot_is_put_along_axis_bitwise(dtype, k, label_dtype):
     labels = stream(29, "onehot", str(k)).integers(0, k, size=(3, 5, 6)).astype(label_dtype)
     labels[0, 0, :3] = (0, k - 1, 255)
     labels[2, 4, :] = 255
-    onehot, mask, count = tr._prep_targets(Tensor(np.zeros((3, k, 5, 6)), dtype=dtype), labels, 255)
+    onehot, mask, count = tr._prep_targets(Tensor(np.zeros((3, k, 5, 6)), dtype=dtype), labels)
     ref = put_along_axis_onehot(labels, k, dtype)
     assert onehot.data.dtype == ref.dtype and onehot.data.shape == ref.shape
     assert onehot.data.tobytes() == ref.tobytes()
@@ -428,7 +428,8 @@ def test_train_step_memory():
     each node's saved arrays as it passes, so the peak stays near the forward's
     activations (about 34 MiB) instead of holding every node and adjoint until
     the step ends (about 88 MiB). Each of the 36 norm layers records one node
-    that keeps no normalized copy of its input, so the tape holds 355 nodes."""
+    that keeps no normalized copy of its input, and each CE term folds its
+    sign into its final scale, so the tape holds 351 nodes."""
     from lightformer import config, network, synthetic
 
     cfg = config.load()
@@ -454,7 +455,7 @@ def test_train_step_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nodes <= 360, f"train step recorded {nodes} tape nodes"
+    assert nodes == 351, f"train step recorded {nodes} tape nodes"
     assert peak < 42 * 2**20, f"train step peak {peak / 2**20:.1f} MiB"
 
 
