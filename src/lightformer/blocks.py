@@ -11,11 +11,12 @@ All blocks register parameters against a shared ParamStore under a dotted
 prefix and keep only Tensor handles, so checkpoint IO and the optimizer
 never need to walk module objects.
 
-Every layer and block also prices itself: ``cost(rep, hw, batch)`` adds
-its rows to an ``efficiency.CostReport`` in forward order, each named by the
-prefix its parameters carry, and returns its output (H, W). Parameters and
-MACs come from the layer's own weights, strides and padding; the
-conventions are in ``efficiency``.
+Every layer and block also prices itself: ``cost(rep, hw)`` adds its rows
+for one image to an ``efficiency.CostReport`` in forward order, each named by
+the prefix its parameters carry, and returns its output (H, W). Parameters
+and MACs come from the layer's own weights, strides and padding; the
+conventions, and the batch that ``efficiency.block_cost`` applies to every
+row, are in ``efficiency``.
 """
 
 from __future__ import annotations
@@ -101,16 +102,14 @@ class Conv2d:
         return ops.conv2d(x, self.weight, self.bias, stride=self.stride,
                           padding=self.padding, groups=self.groups)
 
-    def cost(self, rep, hw, batch: int) -> tuple:
-        cout, _, kh, kw = self.weight.shape
+    def cost(self, rep, hw) -> tuple:
+        _, _, kh, kw = self.weight.shape
         (sh, sw), (ph, pw) = ops._pair(self.stride), ops._pair(self.padding)
         ho = (hw[0] + 2 * ph - kh) // sh + 1
         wo = (hw[1] + 2 * pw - kw) // sw + 1
-        if self.bias is None:
-            rep.add(self.prefix, params=self.weight.size, macs=self.weight.size * ho * wo * batch)
-        else:
-            rep.add(self.prefix, params=self.weight.size + self.bias.size,
-                    macs=self.weight.size * ho * wo * batch, ops=batch * cout * ho * wo)
+        bias = 0 if self.bias is None else self.bias.size
+        rep.add(self.prefix, params=self.weight.size + bias,
+                macs=self.weight.size * ho * wo, ops=bias * ho * wo)
         return (ho, wo)
 
 
@@ -123,7 +122,7 @@ class Identity:
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return x
 
-    def cost(self, rep, hw, batch: int) -> tuple:
+    def cost(self, rep, hw) -> tuple:
         rep.add(self.prefix)
         return hw
 
@@ -164,9 +163,9 @@ class BatchNorm2d:
             self.running_var.data = (1.0 - mom) * self.running_var.data + mom * v
         return y
 
-    def cost(self, rep, hw, batch: int) -> tuple:
+    def cost(self, rep, hw) -> tuple:
         rep.add(self.prefix, params=self.gamma.size + self.beta.size,
-                ops=batch * self.channels * hw[0] * hw[1])
+                ops=self.channels * hw[0] * hw[1])
         return hw
 
 
@@ -222,9 +221,9 @@ class ConvNormAct:
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         return self.act(self.norm.forward(self.conv.forward(x), train))
 
-    def cost(self, rep, hw, batch: int) -> tuple:
-        hw = self.norm.cost(rep, self.conv.cost(rep, hw, batch), batch)
-        rep.add(f"{self.prefix}.act", ops=batch * self.conv.weight.shape[0] * hw[0] * hw[1])
+    def cost(self, rep, hw) -> tuple:
+        hw = self.norm.cost(rep, self.conv.cost(rep, hw))
+        rep.add(f"{self.prefix}.act", ops=self.conv.weight.shape[0] * hw[0] * hw[1])
         return hw
 
 
@@ -298,7 +297,7 @@ class GateWeights:
     def raw(self):
         return ops.reshape(self.alpha, ()), ops.reshape(self.beta, ())
 
-    def cost(self, rep, hw, batch: int) -> tuple:
+    def cost(self, rep, hw) -> tuple:
         rep.add(f"{self.prefix}.alpha", params=self.alpha.size)
         rep.add(f"{self.prefix}.beta", params=self.beta.size)
         return hw
@@ -327,12 +326,12 @@ class ECA:
         s = ops.reshape(s, (b, c, 1, 1))
         return ops.mul(x, s)
 
-    def cost(self, rep, hw, batch: int) -> tuple:
+    def cost(self, rep, hw) -> tuple:
         c = self.channels
-        rep.add(f"{self.prefix}.pool", ops=batch * c)
+        rep.add(f"{self.prefix}.pool", ops=c)
         # The k-tap conv runs once per channel of each pooled vector.
-        rep.add(f"{self.prefix}.conv", params=self.weight.size, macs=self.weight.size * c * batch)
-        rep.add(f"{self.prefix}.gate", ops=batch * c * (1 + hw[0] * hw[1]))
+        rep.add(f"{self.prefix}.conv", params=self.weight.size, macs=self.weight.size * c)
+        rep.add(f"{self.prefix}.gate", ops=c * (1 + hw[0] * hw[1]))
         return hw
 
 
@@ -440,19 +439,19 @@ class WindowAttention:
             out = ops.crop2d(out, 0, 0, h, w)
         return out
 
-    def cost(self, rep, hw, batch: int) -> tuple:
+    def cost(self, rep, hw) -> tuple:
         ws = self.window_size
         c = self.channels
         hp, wp = hw[0] + (-hw[0]) % ws, hw[1] + (-hw[1]) % ws
-        self.qkv.cost(rep, (hp, wp), batch)
+        self.qkv.cost(rep, (hp, wp))
         # Q K^T and probs x V: each ws^2 x d by d x ws^2 (or transposed) per
         # window per head; both collapse to window^2 * channels per pixel.
-        rep.add(f"{self.prefix}.matmul", macs=2 * ws * ws * c * hp * wp * batch)
-        rep.add(f"{self.prefix}.softmax", ops=batch * self.heads * hp * wp * ws * ws)
+        rep.add(f"{self.prefix}.matmul", macs=2 * ws * ws * c * hp * wp)
+        rep.add(f"{self.prefix}.softmax", ops=self.heads * hp * wp * ws * ws)
         # Two axis means per window, each broadcast back over the window
         # (priced as a nearest upsampling), and their sum.
         rep.add(f"{self.prefix}.axis_pool",
-                ops=batch * c * (hp * wp // ws) * 2 + batch * c * hp * wp * 3)
+                ops=c * (hp * wp // ws) * 2 + c * hp * wp * 3)
         return hw
 
 
@@ -479,16 +478,16 @@ class GlobalBranch:
         f = self.fc2.forward(self.act(self.fc1.forward(self.norm2.forward(x, train))))
         return ops.add(x, f)
 
-    def cost(self, rep, hw, batch: int) -> tuple:
-        pixels = batch * hw[0] * hw[1]
-        self.norm1.cost(rep, hw, batch)
-        self.attn.cost(rep, hw, batch)
-        self.proj.cost(rep, hw, batch)
+    def cost(self, rep, hw) -> tuple:
+        pixels = hw[0] * hw[1]
+        self.norm1.cost(rep, hw)
+        self.attn.cost(rep, hw)
+        self.proj.cost(rep, hw)
         rep.add(f"{self.prefix}.residual1", ops=pixels * self.channels)
-        self.norm2.cost(rep, hw, batch)
-        self.fc1.cost(rep, hw, batch)
+        self.norm2.cost(rep, hw)
+        self.fc1.cost(rep, hw)
         rep.add(f"{self.prefix}.ffn_act", ops=pixels * self.fc1.weight.shape[0])
-        self.fc2.cost(rep, hw, batch)
+        self.fc2.cost(rep, hw)
         rep.add(f"{self.prefix}.residual2", ops=pixels * self.channels)
         return hw
 
@@ -525,11 +524,11 @@ class LocalBranch:
         second = ops.mul(gate, t)
         return ops.concat([first, second], axis=1)
 
-    def cost(self, rep, hw, batch: int) -> tuple:
+    def cost(self, rep, hw) -> tuple:
         for layer in (self.refine, self.spread, self.spread_norm, self.post,
                       self.gate_in, self.gate_out):
-            layer.cost(rep, hw, batch)
-        rep.add(f"{self.prefix}.gate_mul", ops=batch * self.channels * hw[0] * hw[1])
+            layer.cost(rep, hw)
+        rep.add(f"{self.prefix}.gate_mul", ops=self.channels * hw[0] * hw[1])
         return hw
 
 
@@ -572,12 +571,12 @@ class LCRM:
         y = channel_shuffle(y, self.cfg.shuffle_groups)
         return self.eca.forward(y)
 
-    def cost(self, rep, hw, batch: int) -> tuple:
-        self.global_branch.cost(rep, hw, batch)
-        self.local_branch.cost(rep, hw, batch)
-        self.fuse.cost(rep, hw, batch)
-        rep.add(f"{self.prefix}.shuffle", ops=batch * self.cfg.channels * hw[0] * hw[1])
-        return self.eca.cost(rep, hw, batch)
+    def cost(self, rep, hw) -> tuple:
+        self.global_branch.cost(rep, hw)
+        self.local_branch.cost(rep, hw)
+        self.fuse.cost(rep, hw)
+        rep.add(f"{self.prefix}.shuffle", ops=self.cfg.channels * hw[0] * hw[1])
+        return self.eca.cost(rep, hw)
 
 
 class CFFM:
@@ -619,16 +618,16 @@ class CFFM:
         z = self.fuse_pw.forward(z, train)
         return self.eca.forward(z)
 
-    def cost(self, rep, hw, batch: int) -> tuple:
+    def cost(self, rep, hw) -> tuple:
         """``hw`` is the deep map's; the skip map and the output are twice it."""
         out_hw = (2 * hw[0], 2 * hw[1])
-        n_out = batch * self.cfg.channels * out_hw[0] * out_hw[1]
+        n_out = self.cfg.channels * out_hw[0] * out_hw[1]
         rep.add(f"{self.prefix}.upsample", ops=n_out)
-        self.proj.cost(rep, out_hw, batch)
-        self.gate.cost(rep, out_hw, batch)
+        self.proj.cost(rep, out_hw)
+        self.gate.cost(rep, out_hw)
         rep.add(f"{self.prefix}.gated_sum", ops=3 * n_out)
         for layer in (self.fuse_dw, self.fuse_dw_norm, self.fuse_pw, self.eca):
-            layer.cost(rep, out_hw, batch)
+            layer.cost(rep, out_hw)
         return out_hw
 
 
@@ -684,18 +683,18 @@ class SISM:
         out = ops.add(x, ops.mul(detail, w_detail))
         return ops.add(out, ops.mul(ops.mul(x, attn), w_attn))
 
-    def cost(self, rep, hw, batch: int) -> tuple:
-        pixels = batch * hw[0] * hw[1]
+    def cost(self, rep, hw) -> tuple:
+        pixels = hw[0] * hw[1]
         n = pixels * self.cfg.channels
         for layer in (self.dw_mid, self.pw_mid, self.dw_long, self.pw_long,
                       self.mix_mid, self.mix_long):
-            layer.cost(rep, hw, batch)
+            layer.cost(rep, hw)
         rep.add(f"{self.prefix}.stats", ops=2 * pixels)
-        self.stat_conv.cost(rep, hw, batch)
+        self.stat_conv.cost(rep, hw)
         rep.add(f"{self.prefix}.stage_gate", ops=2 * pixels + 2 * n)
-        self.attn_proj.cost(rep, hw, batch)
+        self.attn_proj.cost(rep, hw)
         rep.add(f"{self.prefix}.attn_gate", ops=pixels + n)
-        self.dw_detail.cost(rep, hw, batch)
-        self.gates.cost(rep, hw, batch)
+        self.dw_detail.cost(rep, hw)
+        self.gates.cost(rep, hw)
         rep.add(f"{self.prefix}.blend", ops=4 * n)
         return hw

@@ -16,11 +16,13 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from dataclasses import fields
 
 from .blocks import BlockConfig
 from .network import INPUT_MULTIPLE, DecoderConfig
 from .rng import resolve_seed
 from .synthetic import MIN_SIZE
+from .training import IGNORE_LABEL
 
 
 def _parse_bool(text: str) -> bool:
@@ -32,13 +34,14 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _int_from(low: int, multiple: int = 1):
-    """Parser for an integer of at least ``low`` that ``multiple`` divides."""
+def _int_from(low: int, multiple: int = 1, high: int | None = None):
+    """Parser for an integer of at least ``low`` (at most ``high``) that ``multiple`` divides."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < low or value % multiple:
+        if value < low or value % multiple or (high is not None and value > high):
+            top = f" and at most {high}" if high is not None else ""
             step = f" and a multiple of {multiple}" if multiple > 1 else ""
-            raise ValueError(f"must be at least {low}{step}, got {value}")
+            raise ValueError(f"must be at least {low}{top}{step}, got {value}")
         return value
     return parse
 
@@ -80,7 +83,8 @@ def _fmt(value) -> str:
 SCHEMA = {
     "run.seed": (lambda s: int(s, 0), 0),
     "run.out_dir": (str, "runs/out"),
-    "model.num_classes": (int, 3),
+    # Masks are 8-bit and label 255 is IGNORE_LABEL, so classes stop below it.
+    "model.num_classes": (_int_from(2, high=IGNORE_LABEL), 3),
     "model.encoder_channels": (_parse_ints, (24, 48, 96, 192)),
     "model.decode_channels": (int, 32),
     "model.window_size": (int, 4),
@@ -153,31 +157,15 @@ class RunConfig:
     def seed(self) -> int:
         return resolve_seed(self["run.seed"])
 
-    def block_config(self) -> BlockConfig:
-        try:
-            return BlockConfig(
-                channels=self["model.decode_channels"],
-                window_size=self["model.window_size"],
-                heads=self["model.heads"],
-                shuffle_groups=self["model.shuffle_groups"],
-                eca_kernel=self["model.eca_kernel"],
-                sism_kernels=self["model.sism_kernels"],
-                norm=self["model.norm"],
-                activation=self["model.activation"],
-                ffn_ratio=self["model.ffn_ratio"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
     def decoder_config(self) -> DecoderConfig:
+        """Each ``model.<name>`` key fills the ``DecoderConfig`` or ``BlockConfig``
+        field of that name; ``model.decode_channels`` also sets ``BlockConfig.channels``."""
+        def named(cls) -> dict:
+            return {f.name: self.values[f"model.{f.name}"] for f in fields(cls)
+                    if f"model.{f.name}" in SCHEMA}
         try:
-            return DecoderConfig(
-                num_classes=self["model.num_classes"],
-                encoder_channels=self["model.encoder_channels"],
-                decode_channels=self["model.decode_channels"],
-                block=self.block_config(),
-                aux_heads=self["model.aux_heads"],
-            )
+            block = BlockConfig(channels=self["model.decode_channels"], **named(BlockConfig))
+            return DecoderConfig(block=block, **named(DecoderConfig))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -1,10 +1,12 @@
 """Static parameter and MAC/FLOP accounting for every layer and block.
 
-The rows come from each block's own ``cost(rep, hw, batch)`` method (see
-``blocks``/``network``), which reads widths, kernels, groups, biases and
-strides from the layer it prices. The entry points here build an
-uninitialized model or refinement block and collect those rows; no
-forward runs. Conventions:
+The rows come from each block's own ``cost(rep, hw)`` method (see
+``blocks``/``network``), which prices one image from the widths, kernels,
+groups, biases and strides of the layer it prices. ``block_cost`` then
+multiplies every row's ``macs`` and ``ops`` by the batch, in that one place;
+every row is linear in it. The entry points here build an uninitialized
+model or refinement block and collect those rows; no forward runs.
+Conventions:
 
 * FLOPs = 2 x MACs, always; the headline comparisons are ratios, so the
   convention cancels. MACs count convolutions and the two attention
@@ -19,7 +21,7 @@ forward runs. Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .blocks import LCRM, BlockConfig
 from .network import INPUT_MULTIPLE, DecoderConfig, Model
@@ -87,9 +89,11 @@ class CostReport:
 
 
 def block_cost(block, hw, batch: int = 1) -> CostReport:
-    """The rows ``block.cost`` adds for one forward at ``hw`` and ``batch``."""
+    """The rows ``block.cost`` adds for one image at ``hw``, with ``macs`` and
+    ``ops`` scaled to a forward of ``batch`` images."""
     rep = CostReport()
-    block.cost(rep, hw, batch)
+    block.cost(rep, hw)
+    rep.rows = [replace(r, macs=r.macs * batch, ops=r.ops * batch) for r in rep.rows]
     return rep
 
 

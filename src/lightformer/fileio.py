@@ -20,6 +20,8 @@ PGM (P5) and PPM (P6) support the 8-bit maxval-255 form only; masks use
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import Mapping
 
@@ -45,13 +47,17 @@ def _dtype_code(arr: np.ndarray) -> int:
         raise FormatError(f"unsupported dtype {arr.dtype}; only float32/float64 are stored") from None
 
 
-def tensor_to_bytes(arr: np.ndarray) -> bytes:
+def _shape_bytes(arr: np.ndarray, what: str = "") -> bytes:
+    """The ``<B I I*rank>`` shape header both formats share: dtype code, rank, dims."""
     if arr.ndim > MAX_RANK:
-        raise FormatError(f"rank {arr.ndim} exceeds the supported maximum of {MAX_RANK}")
-    head = LFTR_MAGIC + struct.pack("<IBI", FORMAT_VERSION, _dtype_code(arr), arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
+        raise FormatError(f"{what}rank {arr.ndim} exceeds the supported maximum of {MAX_RANK}")
+    return struct.pack(f"<BI{arr.ndim}I", _dtype_code(arr), arr.ndim, *arr.shape)
+
+
+def tensor_to_bytes(arr: np.ndarray) -> bytes:
+    head = LFTR_MAGIC + struct.pack("<I", FORMAT_VERSION) + _shape_bytes(arr)
     payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-    return head + dims + payload
+    return head + payload
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -61,25 +67,38 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def _read_tensor_header(fh):
-    magic = _read_exact(fh, 4, "magic")
-    if magic != LFTR_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {LFTR_MAGIC!r}")
-    version, code, rank = struct.unpack("<IBI", _read_exact(fh, 9, "header"))
+def _read_head(fh, magic: bytes) -> None:
+    """The magic and version that open both formats."""
+    got = _read_exact(fh, 4, "magic")
+    if got != magic:
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported version {version}")
+
+
+def _read_shape(fh, what: str = ""):
+    code, rank = struct.unpack("<BI", _read_exact(fh, 5, f"{what}shape header"))
     if code not in _DTYPE_CODES:
-        raise FormatError(f"unknown dtype code {code}")
+        raise FormatError(f"{what}unknown dtype code {code}")
     if rank > MAX_RANK:
-        raise FormatError(f"rank {rank} exceeds the supported maximum of {MAX_RANK}")
-    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims")) if rank else ()
+        raise FormatError(f"{what}rank {rank} exceeds the supported maximum of {MAX_RANK}")
+    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{what}dims"))
     return _DTYPE_CODES[code], dims
 
 
-def _read_tensor_payload(fh, dtype, dims) -> np.ndarray:
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    raw = _read_exact(fh, count * dtype.itemsize, "payload")
-    return np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+def _read_payload(fh, dtype, dims) -> np.ndarray:
+    """The declared payload, refused before any read if the file is too short for it."""
+    n = math.prod(dims) * dtype.itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"payload of {n} bytes declared, but only {left} remain in the file")
+    return np.frombuffer(_read_exact(fh, n, "payload"), dtype=dtype).reshape(dims).copy()
+
+
+def _read_tensor_header(fh) -> tuple:
+    _read_head(fh, LFTR_MAGIC)
+    return _read_shape(fh)
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
@@ -90,8 +109,7 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        dtype, dims = _read_tensor_header(fh)
-        arr = _read_tensor_payload(fh, dtype, dims)
+        arr = _read_payload(fh, *_read_tensor_header(fh))
         if fh.read(1):
             raise FormatError("trailing bytes after tensor payload")
     return arr
@@ -102,15 +120,11 @@ def write_container(path, tensors: Mapping[str, np.ndarray]) -> None:
     names = list(tensors)
     head = [LFTC_MAGIC, struct.pack("<II", FORMAT_VERSION, len(names))]
     for name in names:
-        arr = tensors[name]
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise FormatError(f"entry name too long ({len(encoded)} bytes)")
-        if arr.ndim > MAX_RANK:
-            raise FormatError(f"entry {name!r}: rank {arr.ndim} exceeds the supported maximum of {MAX_RANK}")
-        head.append(struct.pack("<H", len(encoded)))
-        head.append(encoded)
-        head.append(struct.pack(f"<BI{arr.ndim}I", _dtype_code(arr), arr.ndim, *arr.shape))
+        head += [struct.pack("<H", len(encoded)), encoded,
+                 _shape_bytes(tensors[name], f"entry {name!r}: ")]
     with open(path, "wb") as fh:
         fh.write(b"".join(head))
         for name in names:
@@ -121,12 +135,8 @@ def read_container(path) -> dict:
     """Read an LFTC container into an ordered name -> array dict."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != LFTC_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {LFTC_MAGIC!r}")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported version {version}")
+        _read_head(fh, LFTC_MAGIC)
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, "entry count"))
         entries = []
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
@@ -134,21 +144,15 @@ def read_container(path) -> dict:
                 name = _read_exact(fh, name_len, "name").decode("utf-8")
             except UnicodeDecodeError:
                 raise FormatError("entry name is not valid UTF-8") from None
-            code, rank = struct.unpack("<BI", _read_exact(fh, 5, "entry header"))
-            if code not in _DTYPE_CODES:
-                raise FormatError(f"entry {name!r}: unknown dtype code {code}")
-            if rank > MAX_RANK:
-                raise FormatError(f"entry {name!r}: rank {rank} out of range")
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "entry dims")) if rank else ()
+            shape = _read_shape(fh, f"entry {name!r}: ")
             if name in out:
                 raise FormatError(f"duplicate entry name {name!r}")
             out[name] = None
-            entries.append((name, _DTYPE_CODES[code], dims))
-        for name, dtype, dims in entries:
-            blob_dtype, blob_dims = _read_tensor_header(fh)
-            if blob_dtype != dtype or blob_dims != dims:
+            entries.append((name, shape))
+        for name, shape in entries:
+            if _read_tensor_header(fh) != shape:
                 raise FormatError(f"entry {name!r}: blob header disagrees with container header")
-            out[name] = _read_tensor_payload(fh, dtype, dims)
+            out[name] = _read_payload(fh, *shape)
         if fh.read(1):
             raise FormatError("trailing bytes after last entry")
     return out

@@ -280,7 +280,7 @@ def block_cases(seed: int, instance: int):
     K = 3
     logits = _randn(rng, (2, K, 4, 4))
     labels = stream(seed, "gradcheck.labels", str(instance)).integers(0, K, size=(2, 4, 4))
-    labels[0, 0, 0] = 255
+    labels[0, 0, 0] = tr.IGNORE_LABEL
     case("cross_entropy", lambda: tr.cross_entropy_loss(logits, labels), [logits])
     case("dice", lambda: tr.dice_loss(logits, labels), [logits])
     aux = [_randn(rng, (2, K, 4, 4)) for _ in range(3)]
@@ -314,18 +314,14 @@ def block_cases(seed: int, instance: int):
     return cases
 
 
-def run_suite(op_filter: str | None = None, seed: int = 0, instances: int = 5, include_blocks: bool = True):
-    """Run every case ``instances`` times; returns the list of CheckResults."""
+def run_suite(op_filter: str | None = None, seed: int = 0, instances: int = 5):
+    """Run every op and block case ``instances`` times; returns the list of CheckResults."""
     results = []
     for inst in range(instances):
-        bundles = [op_cases(seed, inst)]
-        if include_blocks:
-            bundles.append(block_cases(seed, inst))
-        for bundle in bundles:
-            for name, fn, wrt, tol, max_coords in bundle:
-                if op_filter and op_filter not in name:
-                    continue
-                results.append(
-                    check_gradients(fn, wrt, tol=tol, name=name, seed=seed + inst, max_coords=max_coords)
-                )
+        for name, fn, wrt, tol, max_coords in op_cases(seed, inst) + block_cases(seed, inst):
+            if op_filter and op_filter not in name:
+                continue
+            results.append(
+                check_gradients(fn, wrt, tol=tol, name=name, seed=seed + inst, max_coords=max_coords)
+            )
     return results

@@ -79,9 +79,9 @@ class StubEncoder:
             feats.append(x)
         return feats
 
-    def cost(self, rep, hw, batch: int) -> tuple:
+    def cost(self, rep, hw) -> tuple:
         for first, second in self.stages:
-            hw = second.cost(rep, first.cost(rep, hw, batch), batch)
+            hw = second.cost(rep, first.cost(rep, hw))
         return hw
 
 
@@ -136,22 +136,22 @@ class Decoder:
                           for head, tap in zip(self.aux, taps)]
         return logits, aux_logits
 
-    def cost(self, rep, hw, batch: int) -> tuple:
-        """Rows of one training forward whose logits come out at ``hw``, so
+    def cost(self, rep, hw) -> tuple:
+        """Rows of one image's training forward with logits at ``hw``, so
         the auxiliary heads count whenever the config enables them; the
         deepest feature map is ``hw / INPUT_MULTIPLE``."""
-        logits = batch * self.cfg.num_classes * hw[0] * hw[1]
-        z = self.proj.cost(rep, (hw[0] // INPUT_MULTIPLE, hw[1] // INPUT_MULTIPLE), batch)
+        logits = self.cfg.num_classes * hw[0] * hw[1]
+        z = self.proj.cost(rep, (hw[0] // INPUT_MULTIPLE, hw[1] // INPUT_MULTIPLE))
         taps = []
         for lcrm, cffm in ((self.lcrm1, self.cffm1), (self.lcrm2, self.cffm2),
                            (self.lcrm3, self.cffm3)):
-            z = lcrm.cost(rep, z, batch)
+            z = lcrm.cost(rep, z)
             taps.append(z)
-            z = cffm.cost(rep, z, batch)
-        self.head.cost(rep, self.sism.cost(rep, z, batch), batch)
+            z = cffm.cost(rep, z)
+        self.head.cost(rep, self.sism.cost(rep, z))
         rep.add(f"{self.prefix}.upsample", ops=logits)
         for head, tap in zip(self.aux, taps):
-            head.cost(rep, tap, batch)
+            head.cost(rep, tap)
             rep.add(f"{head.prefix}.upsample", ops=logits)
         return hw
 
@@ -175,9 +175,9 @@ class Model:
         feats = self.encoder.forward(image, train)
         return self.decoder.forward(feats, (h, w), train)
 
-    def cost(self, rep, hw, batch: int) -> tuple:
-        self.encoder.cost(rep, hw, batch)
-        return self.decoder.cost(rep, hw, batch)
+    def cost(self, rep, hw) -> tuple:
+        self.encoder.cost(rep, hw)
+        return self.decoder.cost(rep, hw)
 
 
 def build_model(cfg: DecoderConfig, seed: int, dtype=np.float32) -> Model:

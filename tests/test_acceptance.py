@@ -75,7 +75,7 @@ def test_criterion_03_scaling_laws():
 
 def test_criterion_04_gradient_suite():
     start = time.time()
-    results = gradcheck.run_suite(seed=0, instances=5, include_blocks=True)
+    results = gradcheck.run_suite(seed=0, instances=5)
     elapsed = time.time() - start
     failures = [str(r) for r in results if not r.ok]
     assert failures == []

@@ -169,6 +169,9 @@ class TestScaling:
         five = eff.model_cost(TOY, (64, 64), batch=5)
         assert five.macs == 5 * one.macs
         assert five.params == one.params
+        assert len(five.rows) == len(one.rows)
+        for a, b in zip(one.rows, five.rows):
+            assert b == eff.CostRow(a.name, a.params, 5 * a.macs, 5 * a.ops)
 
     def test_count_flops_wraps_model_cost(self):
         macs, flops = eff.count_flops(DEFAULT6, (64, 64), batch=3)

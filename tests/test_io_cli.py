@@ -1,13 +1,23 @@
 """Serialization formats, run configuration, and the command-line surface."""
 
+import dataclasses
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from lightformer import cli, config, fileio
+from lightformer.blocks import BlockConfig
+from lightformer.network import DecoderConfig
 from lightformer.rng import SEED_ENV_VAR, resolve_seed
 from lightformer.tensor import Tensor
+
+
+# A float64 shape header declaring 65535^3 values, about 2 PB of payload.
+HUGE_SHAPE = struct.pack("<BI3I", 1, 3, 65535, 65535, 65535)
+HUGE_TENSOR = b"LFTR" + struct.pack("<I", 1) + HUGE_SHAPE
+HUGE_CONTAINER = b"LFTC" + struct.pack("<IIH", 1, 1, 1) + b"w" + HUGE_SHAPE + HUGE_TENSOR
 
 
 class TestTensorFormat:
@@ -68,6 +78,12 @@ class TestTensorFormat:
             fileio.write_tensor(path, bad)
         assert path.read_bytes() == before
 
+    def test_payload_longer_than_file_is_format_error(self, tmp_path):
+        path = tmp_path / "t.lftr"
+        path.write_bytes(HUGE_TENSOR + bytes(28))
+        with pytest.raises(fileio.FormatError, match="payload"):
+            fileio.read_tensor(path)
+
 
 class TestContainerFormat:
     def test_roundtrip_preserves_order_and_values(self, tmp_path):
@@ -94,6 +110,12 @@ class TestContainerFormat:
         path = tmp_path / "c.lftc"
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(fileio.FormatError, match="magic"):
+            fileio.read_container(path)
+
+    def test_payload_longer_than_file_is_format_error(self, tmp_path):
+        path = tmp_path / "c.lftc"
+        path.write_bytes(HUGE_CONTAINER)
+        with pytest.raises(fileio.FormatError, match="payload"):
             fileio.read_container(path)
 
 
@@ -220,6 +242,28 @@ class TestRunConfig:
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
         with pytest.raises(ValueError, match=SEED_ENV_VAR):
             resolve_seed(5)
+
+    def test_model_keys_are_the_config_fields(self):
+        """Every ``model.*`` key fills the DecoderConfig or BlockConfig field of
+        its name (``decode_channels`` fills ``BlockConfig.channels`` too)."""
+        keys = {key.partition(".")[2] for key in config.SCHEMA if key.startswith("model.")}
+        decoder = {f.name for f in dataclasses.fields(DecoderConfig)} - {"block"}
+        block = {f.name for f in dataclasses.fields(BlockConfig)} - {"channels"}
+        assert keys == decoder | block
+        assert not decoder & block
+
+    def test_model_keys_reach_the_model_config(self):
+        cfg = config.load(overrides=("model.num_classes=5", "model.encoder_channels=4,8,8,8",
+                                     "model.decode_channels=16", "model.window_size=2",
+                                     "model.heads=2", "model.shuffle_groups=4", "model.eca_kernel=5",
+                                     "model.sism_kernels=3,5,5,3", "model.norm=group",
+                                     "model.activation=gelu", "model.ffn_ratio=2",
+                                     "model.aux_heads=false"))
+        assert cfg.decoder_config() == DecoderConfig(
+            num_classes=5, encoder_channels=(4, 8, 8, 8), decode_channels=16, aux_heads=False,
+            block=BlockConfig(channels=16, window_size=2, heads=2, shuffle_groups=4, eca_kernel=5,
+                              sism_kernels=(3, 5, 5, 3), norm="group", activation="gelu",
+                              ffn_ratio=2))
 
     def test_model_config_validation_is_config_error(self):
         cfg = config.load(overrides=("model.decode_channels=7",))
@@ -361,6 +405,18 @@ def test_bad_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, argv, n
 
 
 @pytest.mark.parametrize("command", [("train-toy",), ("infer", "scene.ppm")], ids=["train_toy", "infer"])
+@pytest.mark.parametrize("classes", [256, 300])
+def test_more_than_255_classes_is_usage_error_and_writes_nothing(tmp_path, capsys, command, classes):
+    """Masks are 8-bit and 255 is the ignore label, so 255 classes is the most."""
+    assert config.load(overrides=("model.num_classes=255",))["model.num_classes"] == 255
+    out = tmp_path / "o"
+    assert run_cli(command[0], "--out", str(out), *TINY, *command[1:],
+                   "--set", f"model.num_classes={classes}") == 2
+    assert "model.num_classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [("train-toy",), ("infer", "scene.ppm")], ids=["train_toy", "infer"])
 @pytest.mark.parametrize("setting", ["data.std=0.25,0.25", "data.std=0,0.25,0.25", "data.std=-1,1,1",
                                      "data.mean=nan,0.5,0.5", "data.mean=0.5,0.5,0.5,0.5"],
                          ids=["two_stds", "zero_std", "negative_std", "nan_mean", "four_means"])
@@ -488,6 +544,15 @@ class TestCliInferAndAttn:
     def test_infer_missing_checkpoint_is_runtime_error(self, tmp_path):
         scene = self._write_input(tmp_path)
         assert run_cli("infer", str(scene), "--out", str(tmp_path / "none"), *TINY) == 1
+
+    def test_infer_oversized_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        scene = self._write_input(tmp_path)
+        ckpt = tmp_path / "huge.lftc"
+        ckpt.write_bytes(HUGE_CONTAINER)
+        assert run_cli("infer", str(scene), "--out", str(tmp_path / "o"), *TINY,
+                       "--checkpoint", str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "payload" in err and err.count("\n") == 1
 
     def test_save_logits(self, trained, tmp_path):
         scene = self._write_input(tmp_path)
