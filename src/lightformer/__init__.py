@@ -1,6 +1,6 @@
 """Lightweight window-attention segmentation decoder on a numpy autodiff core."""
 
-from .tensor import ShapeError, Tape, TapeError, Tensor, full, ones, zeros
+from .tensor import ShapeError, Tape, TapeError, Tensor
 from . import ops
 from .blocks import (
     CFFM,
@@ -74,17 +74,14 @@ __all__ = [
     "count_params",
     "cross_entropy_loss",
     "dice_loss",
-    "full",
     "init_params",
     "load_checkpoint",
     "load_config",
     "model_cost",
-    "ones",
     "ops",
     "report_channel_management",
     "save_checkpoint",
     "sliding_window_infer",
     "total_loss",
-    "zeros",
     "__version__",
 ]

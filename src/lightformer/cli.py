@@ -36,7 +36,7 @@ _CONFIG_NAMES = {"infer": "infer.ini", "dump-attn": "dump-attn.ini"}
 
 def _prepare_out(cfg: RunConfig, args) -> str:
     """Create the output directory and echo the config; call once the run is validated."""
-    out_dir = args.out if args.out else cfg["run.out_dir"]
+    out_dir = args.out or cfg["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, _CONFIG_NAMES.get(args.command, "config.ini")), cfg.to_text())
     return out_dir
@@ -225,19 +225,31 @@ def run_train_toy(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_train_toy(cfg: RunConfig, args) -> int:
     if args.epochs is not None:
         cfg.set("train.epochs", str(args.epochs))
-    cfg.decoder_config()  # a bad model config exits 2 before anything is written
+    # A bad model config exits 2 before anything is written.
+    if not cfg.decoder_config().aux_heads:
+        raise ConfigError("model.aux_heads=false: training needs the auxiliary heads, "
+                          "whose losses are part of the objective")
     out_dir = _prepare_out(cfg, args)
     summary = run_train_toy(cfg, out_dir)
     print(f"done: {summary['epochs_run']} epochs, final val miou {summary['final_miou']:.4f}")
     return 0
 
 
-def _load_model(dcfg, seed: int, checkpoint: str):
+def _image_and_model(cfg: RunConfig, args, check_image=lambda image: None):
+    """Read and standardize ``args.image``, then load the model; create nothing.
+
+    ``check_image(image)`` runs before the checkpoint is read, which is
+    ``--checkpoint`` or else ``checkpoint.lftc`` in the output directory.
+    """
+    dcfg = cfg.decoder_config()
+    image = _standardize_u8(fileio.read_ppm(args.image), cfg)
+    check_image(image)
+    checkpoint = args.checkpoint or os.path.join(args.out or cfg["run.out_dir"], "checkpoint.lftc")
     if not os.path.exists(checkpoint):
         raise FileNotFoundError(f"checkpoint not found: {checkpoint}")
-    model = build_model(dcfg, seed)
+    model = build_model(dcfg, cfg.seed)
     load_checkpoint(model.store, checkpoint)
-    return model
+    return image, model
 
 
 def cmd_infer(cfg: RunConfig, args) -> int:
@@ -245,17 +257,17 @@ def cmd_infer(cfg: RunConfig, args) -> int:
         cfg.set("infer.window", str(args.window))
     if args.stride is not None:
         cfg.set("infer.stride", str(args.stride))
-    dcfg = cfg.decoder_config()
-    image = _standardize_u8(fileio.read_ppm(args.image), cfg)
     window, stride = cfg["infer.window"], cfg["infer.stride"]
-    try:
-        for length in image.shape[-2:]:
-            tr.window_placements(length, window, stride)
-    except ValueError as exc:
-        raise ConfigError(f"infer.window={window}, infer.stride={stride}: {exc}") from exc
+
+    def check_windows(image):
+        try:
+            for length in image.shape[-2:]:
+                tr.window_placements(length, window, stride)
+        except ValueError as exc:
+            raise ConfigError(f"infer.window={window}, infer.stride={stride}: {exc}") from exc
+
+    image, model = _image_and_model(cfg, args, check_windows)
     out_dir = _prepare_out(cfg, args)
-    checkpoint = args.checkpoint or os.path.join(out_dir, "checkpoint.lftc")
-    model = _load_model(dcfg, cfg.seed, checkpoint)
     # Inference runs forward only, so eval batch norms fold into their convs.
     fold_batch_norms(model)
     num_classes = cfg["model.num_classes"]
@@ -300,11 +312,8 @@ def _to_heat_pgm(path: str, unit_map: np.ndarray) -> None:
 
 
 def cmd_dump_attn(cfg: RunConfig, args) -> int:
-    dcfg = cfg.decoder_config()
-    image = _standardize_u8(fileio.read_ppm(args.image), cfg)
+    image, model = _image_and_model(cfg, args)
     out_dir = _prepare_out(cfg, args)
-    checkpoint = args.checkpoint or os.path.join(out_dir, "checkpoint.lftc")
-    model = _load_model(dcfg, cfg.seed, checkpoint)
     padded = _pad_to_multiple(image)
     with capture() as maps:
         model.forward(Tensor(padded[None]), train=False)

@@ -414,16 +414,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     partitions channels; groups == Cin with one input channel per filter is
     the depthwise case. Stride, padding, and kernel may differ per axis.
 
-    groups == Cin == Cout (one filter per channel) runs ``_conv2d_depthwise``,
-    banded GEMMs in 32-column blocks and 256 KiB channel chunks, and an
-    unpadded stride-1 1x1 kernel runs ``_conv2d_1x1``, whose column buffer is
-    the input itself. Every other grouping is lowered to im2col (Chellapilla
-    et al., 2006) with the batch folded into the columns: a column buffer of
-    shape (groups, Cin/groups*kh*kw, B*H'*W'), rows (c, u, v) and columns
-    (b, i, j), copied from a strided view of the padded input. The forward,
-    the weight gradient and the column adjoint are then one ``np.matmul``
-    each over B*H'*W' columns, with the weight viewed as (groups, Cout/groups,
-    Cin/groups*kh*kw). The output comes out channel-major and is copied once
+    groups == Cin == Cout (one filter per channel) at stride 1, with padding
+    below the kernel on both axes, runs ``_conv2d_depthwise``: banded GEMMs
+    in 32-column blocks and 256 KiB channel chunks. Every depthwise conv in
+    the model is of that kind. An unpadded stride-1 1x1 kernel runs
+    ``_conv2d_1x1``, whose column buffer is the input itself. Everything
+    else, a strided or over-padded depthwise conv included (at the cost of
+    a kh*kw-fold column buffer), is lowered to im2col (Chellapilla et al.,
+    2006) with the batch folded into the columns: a column buffer of shape
+    (groups, Cin/groups*kh*kw, B*H'*W'), rows (c, u, v) and columns
+    (b, i, j), always copied from a strided view of the padded input. The
+    forward, the weight gradient and the column adjoint are then one
+    ``np.matmul`` each over B*H'*W' columns, with the weight viewed as
+    (groups, Cout/groups, Cin/groups*kh*kw). The output comes out channel-major and is copied once
     to (B, Cout, H', W'), and the adjoint copies g the other way; at B == 1
     neither copy is made. The adjoint overwrites the buffer with the column
     adjoint and scatters it back onto the input with one strided add per tap
@@ -459,8 +462,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
         if bias.shape != (Cout,):
             raise ShapeError(f"conv2d: bias shape {bias.shape} != ({Cout},)")
 
-    if groups == Cin == Cout:
-        return _conv2d_depthwise(x, weight, bias, (sh, sw), (ph, pw), (Ho, Wo))
+    if groups == Cin == Cout and sh == sw == 1 and ph < kh and pw < kw:
+        return _conv2d_depthwise(x, weight, bias, (ph, pw), (Ho, Wo))
     Cout_g, K, N = Cout // groups, Cin_g * kh * kw, Ho * Wo
     wg = weight.data.reshape(groups, Cout_g, K)
     if kh == kw == sh == sw == 1 and not (ph or pw):
@@ -471,15 +474,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
         xp[:, :, ph : ph + H, pw : pw + W] = x.data
     padded_shape = xp.shape  # the adjoint must not keep xp alive
     # Row (c, u, v) of the column buffer is input channel c seen through tap
-    # (u, v); column (b, i, j) is output pixel (i, j) of sample b. When that
-    # view is already contiguous (B == 1 and a kernel as tall as an unpadded
-    # input, as wide or one column wide), the buffer is x.data itself, so the
-    # view is made read-only: the adjoint must not overwrite it.
+    # (u, v); column (b, i, j) is output pixel (i, j) of sample b.
     s0, s1, s2, s3 = xp.strides
     windows = np.ndarray((Cin, kh, kw, B, Ho, Wo), xp.dtype, buffer=xp,
                          strides=(s1, s2, s3, s0, s2 * sh, s3 * sw))
-    windows.flags.writeable = False
-    col = np.ascontiguousarray(windows).reshape(groups, K, B * N)
+    col = windows.copy().reshape(groups, K, B * N)
     y = np.matmul(wg, col).reshape(Cout, B, Ho, Wo)
     y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
@@ -490,7 +489,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
         if x.requires_grad:
             # col is dead once gw is done, so the column adjoint overwrites it
             # (this makes the closure single-use, as the tape already is).
-            gcol = np.matmul(wg.swapaxes(-1, -2), gt, out=col if col.flags.writeable else None)
+            gcol = np.matmul(wg.swapaxes(-1, -2), gt, out=col)
             gcol = gcol.reshape(Cin, kh, kw, B, Ho, Wo)
             gxp = np.zeros(padded_shape, dtype=x.dtype)
             gxt = gxp.transpose(1, 0, 2, 3)
@@ -541,36 +540,36 @@ def _conv2d_1x1(x: Tensor, weight: Tensor, bias: Tensor | None, wg) -> Tensor:
 _DW_BLOCK, _DW_CHUNK_BYTES = 32, 1 << 18
 
 
-def _band_blocks(out_w, sw, kw):
+def _band_blocks(out_w, kw):
     """Block width bw, block count nb, and the plane columns that the nb blocks read."""
     bw = min(out_w, _DW_BLOCK)
     nb = -(-out_w // bw)
-    return bw, nb, (nb * bw - 1) * sw + kw
+    return bw, nb, nb * bw - 1 + kw
 
 
-def _band_diagonals(band, kw, sw):
-    """View (C, kh, kw, bw) of a (C, kh·span, bw) band: (c, u, v, j) is ``band[c, u·span + j·sw + v, j]``."""
+def _band_diagonals(band, kw):
+    """View (C, kh, kw, bw) of a (C, kh·span, bw) band: (c, u, v, j) is ``band[c, u·span + j + v, j]``."""
     C, rows, bw = band.shape
-    span = (bw - 1) * sw + kw
+    span = bw - 1 + kw
     t0, t1, t2 = band.strides
-    return np.ndarray((C, rows // span, kw, bw), band.dtype, buffer=band, strides=(t0, span * t1, t1, sw * t1 + t2))
+    return np.ndarray((C, rows // span, kw, bw), band.dtype, buffer=band, strides=(t0, span * t1, t1, t1 + t2))
 
 
-def _depthwise_band(w, bw, sw):
+def _depthwise_band(w, bw):
     """The band (C, kh·span, bw) of the (C, kh, kw) kernels ``w``, written through its diagonals."""
-    band = np.zeros((w.shape[0], w.shape[1] * ((bw - 1) * sw + w.shape[2]), bw), dtype=w.dtype)
-    _band_diagonals(band, w.shape[2], sw)[...] = w[..., None]
+    band = np.zeros((w.shape[0], w.shape[1] * (bw - 1 + w.shape[2]), bw), dtype=w.dtype)
+    _band_diagonals(band, w.shape[2])[...] = w[..., None]
     return band
 
 
-def _band_chunks(plane, kernel, out_hw, stride):
+def _band_chunks(plane, kernel, out_hw):
     """Yield ``(c0, X)``: X (n, B·Ho·nb, kh·span) is the row-only im2col of channels c0 .. c0 + n − 1 of ``plane``."""
     B, C = plane.shape[:2]
-    (kh, kw), (Ho, Wo), (sh, sw) = kernel, out_hw, stride
-    bw, nb, _ = _band_blocks(Wo, sw, kw)
-    span = (bw - 1) * sw + kw
+    (kh, kw), (Ho, Wo) = kernel, out_hw
+    bw, nb, _ = _band_blocks(Wo, kw)
+    span = bw - 1 + kw
     s0, s1, s2, s3 = plane.strides
-    rows = np.ndarray((C, B, Ho, nb, kh, span), plane.dtype, buffer=plane, strides=(s1, s0, sh * s2, bw * sw * s3, s2, s3))
+    rows = np.ndarray((C, B, Ho, nb, kh, span), plane.dtype, buffer=plane, strides=(s1, s0, s2, bw * s3, s2, s3))
     rows.flags.writeable = False
     buf = np.empty((min(C, max(1, _DW_CHUNK_BYTES // rows[0].nbytes)), *rows.shape[1:]), dtype=plane.dtype)
     for c0 in range(0, C, len(buf)):
@@ -579,73 +578,65 @@ def _band_chunks(plane, kernel, out_hw, stride):
         yield c0, x.reshape(len(x), B * Ho * nb, kh * span)
 
 
-def _banded_conv(plane, w, out, stride):
+def _banded_conv(plane, w, out):
     """Fill ``out`` (B, C, Ho, Wo) with the depthwise correlation of ``plane`` and ``w`` (C, kh, kw); return it."""
     B, C, Ho, Wo = out.shape
-    for c0, x in _band_chunks(plane, w.shape[1:], (Ho, Wo), stride):
-        y = np.matmul(x, _depthwise_band(w[c0 : c0 + len(x)], min(Wo, _DW_BLOCK), stride[1]))
+    for c0, x in _band_chunks(plane, w.shape[1:], (Ho, Wo)):
+        y = np.matmul(x, _depthwise_band(w[c0 : c0 + len(x)], min(Wo, _DW_BLOCK)))
         out[:, c0 : c0 + len(x)] = y.reshape(len(x), B, Ho, -1)[..., :Wo].transpose(1, 0, 2, 3)
     return out
 
 
-def _dilated_span(n, s, off, limit):
-    """Slices ``(destination, source)`` that place n samples ``s`` apart from ``off`` into [0, limit), dropping the rest."""
-    lo = max(0, -(off // s))
-    hi = max(lo, min(n, -((off - limit) // s)))
-    return slice(off + lo * s, off + hi * s, s), slice(lo, hi)
-
-
-def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, stride, padding, out_hw) -> Tensor:
-    """conv2d for groups == Cin == Cout: banded GEMMs over zero-padded planes.
+def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, padding, out_hw) -> Tensor:
+    """conv2d for groups == Cin == Cout at stride 1 with padding below the kernel: banded GEMMs.
 
     Along an output row a depthwise conv is a product with a banded
     (Toeplitz) matrix of the channel's kernel rows. The output columns are
     cut into nb blocks of bw = min(W', 32) that share one band T (kh·span,
-    bw), ``T[u·span + j·sw + v, j] = w[u, v]``, span = (bw − 1)·sw + kw; the
-    plane is widened with zeros for the last block. Per chunk of channels
-    (about 256 KiB of X), ``_band_chunks`` copies the kh padded rows each
-    output block reads into a row-only im2col X (n, B·H'·nb, kh·span), and
-    the forward is one batched ``X @ T`` written straight into the output.
-    The weight adjoint rebuilds X from the kept padded plane and sums
-    M = Xᵀ·g along the band's diagonals. The input adjoint is the forward
-    with the kernel flipped, run over g dilated by the stride in a zeroed
-    plane (H + kh - 1 rows of W + kw - 1 columns, widened for the blocks,
-    starting kh - 1 - ph rows and kw - 1 - pw columns before g and cropped
-    where the padding is wider than the kernel) that reuses the padded
-    input once gw is done. The GEMMs round differently from a per-tap
-    accumulation. An input that does not require a gradient gets ``None``.
+    bw), ``T[u·span + j + v, j] = w[u, v]``, span = bw − 1 + kw; the plane
+    is widened with zeros for the last block. Per chunk of channels (about
+    256 KiB of X), ``_band_chunks`` copies the kh padded rows each output
+    block reads into a row-only im2col X (n, B·H'·nb, kh·span), and the
+    forward is one batched ``X @ T`` written straight into the output. The
+    weight adjoint rebuilds X from the kept padded plane and sums M = Xᵀ·g
+    along the band's diagonals. The input adjoint is the forward with the
+    kernel flipped, run over g placed kh − 1 − ph rows and kw − 1 − pw
+    columns into a zeroed plane (H + kh − 1 rows of W + kw − 1 columns,
+    widened for the blocks) that reuses the padded input once gw is done;
+    padding below the kernel keeps that offset non-negative and g inside
+    the plane. The GEMMs round differently from a per-tap accumulation. An
+    input that does not require a gradient gets ``None``.
     """
-    (sh, sw), (ph, pw), (Ho, Wo) = stride, padding, out_hw
+    (ph, pw), (Ho, Wo) = padding, out_hw
     B, C, H, W = x.shape
     kh, kw = weight.shape[2:]
     wt = weight.data[:, 0]
-    bw, nb, cols = _band_blocks(Wo, sw, kw)
+    bw, nb, cols = _band_blocks(Wo, kw)
     xp = np.zeros((B, C, H + 2 * ph, max(W + 2 * pw, cols)), dtype=x.dtype)
     xp[:, :, ph : ph + H, pw : pw + W] = x.data
-    out = _banded_conv(xp, wt, np.empty((B, C, Ho, Wo), dtype=x.dtype), (sh, sw))
+    out = _banded_conv(xp, wt, np.empty((B, C, Ho, Wo), dtype=x.dtype))
 
     def backward(g):
         gw = np.empty((C, kh, kw), dtype=x.dtype)
-        for c0, xc in _band_chunks(xp, (kh, kw), (Ho, Wo), (sh, sw)):
+        for c0, xc in _band_chunks(xp, (kh, kw), (Ho, Wo)):
             gb = np.zeros((len(xc), B, Ho, nb * bw), dtype=g.dtype)
             gb[..., :Wo] = g[:, c0 : c0 + len(xc)].transpose(1, 0, 2, 3)
-            diag = _band_diagonals(np.matmul(xc.swapaxes(1, 2), gb.reshape(len(xc), -1, bw)), kw, sw)
+            diag = _band_diagonals(np.matmul(xc.swapaxes(1, 2), gb.reshape(len(xc), -1, bw)), kw)
             diag.flags.writeable = False
             gw[c0 : c0 + len(xc)] = diag.sum(axis=-1)
         del xc, gb, diag  # the last chunk's buffers, before the gather
         gx = None
         if x.requires_grad:
-            Gh, Gw = H + kh - 1, W + kw - 1
-            size = B * C * Gh * _band_blocks(W, 1, kw)[2]
+            Gh = H + kh - 1
+            size = B * C * Gh * _band_blocks(W, kw)[2]
             # xp is dead now, so the plane may overwrite it (this makes the
             # closure single-use, as the tape already is).
             buf = xp.reshape(-1)[:size] if xp.size >= size else np.empty(size, x.dtype)
             buf.fill(0)
             plane = buf.reshape(B, C, Gh, -1)
-            rows, g_rows = _dilated_span(Ho, sh, kh - 1 - ph, Gh)
-            cols, g_cols = _dilated_span(Wo, sw, kw - 1 - pw, Gw)
-            plane[:, :, rows, cols] = g[:, :, g_rows, g_cols]
-            gx = _banded_conv(plane, wt[:, ::-1, ::-1], np.empty_like(x.data), (1, 1))
+            top, left = kh - 1 - ph, kw - 1 - pw
+            plane[:, :, top : top + Ho, left : left + Wo] = g
+            gx = _banded_conv(plane, wt[:, ::-1, ::-1], np.empty_like(x.data))
         return gx, gw.reshape(weight.shape)
 
     return _conv_result(x, weight, bias, out, backward)

@@ -73,9 +73,6 @@ class ParamStore:
         """Number of trainable scalars (buffers excluded)."""
         return sum(t.size for _, t in self.trainable())
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name].tensor
 

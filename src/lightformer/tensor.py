@@ -18,7 +18,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array (not a copy; treat as read-only)."""
-        return self.data
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}{flag})"
@@ -79,18 +75,6 @@ class Tensor:
 
 def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
     return Tensor(data, dtype=dtype, requires_grad=requires_grad)
-
-
-def zeros(shape: Sequence[int], dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape: Sequence[int], dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def full(shape: Sequence[int], value: float, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
 
 
 class TapeNode:

@@ -393,10 +393,12 @@ TINY = (
     (("train-toy", "--set", "train.encoder_lr=-0.003"), "train.encoder_lr"),
     (("train-toy", "--set", "train.decoder_lr=nan"), "train.decoder_lr"),
     (("train-toy", "--set", "train.aux_weight=inf"), "train.aux_weight"),
+    (("train-toy", "--set", "model.aux_heads=false"), "model.aux_heads"),
 ], ids=["zero_batch", "negative_epochs", "image_size_48", "train_heads",
         "zero_window", "negative_window", "zero_stride",
         "infer_heads", "dump_attn_heads", "zero_instances", "negative_instances",
-        "zero_decoder_lr", "negative_encoder_lr", "nan_decoder_lr", "inf_aux_weight"])
+        "zero_decoder_lr", "negative_encoder_lr", "nan_decoder_lr", "inf_aux_weight",
+        "train_no_aux_heads"])
 def test_bad_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, argv, named):
     out = tmp_path / "o"
     assert run_cli(argv[0], "--out", str(out), *TINY, *argv[1:]) == 2
@@ -553,6 +555,36 @@ class TestCliInferAndAttn:
                        "--checkpoint", str(ckpt)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "payload" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["infer", "dump-attn"])
+    @pytest.mark.parametrize("checkpoint", [None, b"LFTC\x01\x00"], ids=["missing", "malformed"])
+    def test_bad_checkpoint_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, command, checkpoint):
+        """The checkpoint is read before the output directory is made."""
+        scene = self._write_input(tmp_path)
+        ckpt = tmp_path / "bad.lftc"
+        if checkpoint is not None:
+            ckpt.write_bytes(checkpoint)
+        out = tmp_path / "o"
+        assert run_cli(command, str(scene), "--out", str(out), *TINY, "--checkpoint", str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_no_aux_heads_runs_everywhere_but_training(self, tmp_path):
+        """Only the training objective needs the aux heads; analyze, infer
+        and dump-attn run a model without them."""
+        from lightformer import network
+        no_aux = (*TINY, "--set", "model.aux_heads=false")
+        ckpt = tmp_path / "no_aux.lftc"
+        dcfg = config.load(overrides=no_aux[1::2]).decoder_config()
+        network.save_checkpoint(network.init_params(dcfg, seed=0), ckpt)
+        scene = self._write_input(tmp_path)
+        assert run_cli("analyze", "--out", str(tmp_path / "a"), *no_aux) == 0
+        for command in ("infer", "dump-attn"):
+            assert run_cli(command, str(scene), "--out", str(tmp_path / command), *no_aux,
+                           "--checkpoint", str(ckpt)) == 0
+        assert fileio.read_pgm(tmp_path / "infer" / "scene_mask.pgm").shape == (64, 64)
+        assert (tmp_path / "dump-attn" / "attn_sism.pgm").exists()
 
     def test_save_logits(self, trained, tmp_path):
         scene = self._write_input(tmp_path)

@@ -91,8 +91,9 @@ class TestBroadcasting:
         assert ops.add(a, 1.0).dtype == np.float64
 
 
-# groups == cin == cout takes conv2d's depthwise path; every other grouping
-# takes the im2col path. dtype defaults to float32.
+# groups == cin == cout at stride 1 with padding below the kernel takes
+# conv2d's depthwise path; every other geometry, strided or over-padded
+# depthwise ones included, takes the im2col path. dtype defaults to float32.
 CONV_GEOMETRIES = [
     dict(cin=3, cout=4, kernel=(1, 1)),
     dict(cin=3, cout=4, kernel=(3, 3), padding=1),
@@ -112,7 +113,7 @@ CONV_GEOMETRIES = [
     dict(cin=4, cout=6, kernel=(3, 3), stride=2, padding=1, groups=2),
     dict(cin=3, cout=4, kernel=(3, 3), padding=1, dtype=np.float64),
     dict(cin=4, cout=4, kernel=(3, 3), groups=4),  # depthwise, unpadded
-    dict(cin=4, cout=4, kernel=(3, 3), padding=3, groups=4),  # padding >= kernel: the adjoint crops g
+    dict(cin=4, cout=4, kernel=(3, 3), padding=3, groups=4),  # depthwise, padding >= kernel: im2col
     dict(cin=4, cout=4, kernel=(3, 2), stride=2, padding=(3, 2), groups=4, dtype=np.float64),
     dict(cin=4, cout=4, kernel=(2, 3), stride=3, padding=(0, 4), groups=4, dtype=np.float64),
 ]
@@ -178,10 +179,11 @@ def test_conv2d_adjoint_matches_finite_differences(geometry, use_bias):
     assert result.ok, str(result)
 
 
-# The 3x5 stride-2 case keeps its original ids. The depthwise path is a
-# banded GEMM, which rounds differently from the per-tap oracle; the largest
-# differences seen over these cases, the gather cases and the long-row cases
-# below were 2.5e-7 (float32) and 6.0e-16 (float64) of the largest magnitude.
+# The 3x5 stride-2 case keeps its original ids; it runs the im2col path,
+# and the two stride-1 cases the depthwise path. Both round differently
+# from the per-tap oracle; the largest differences seen over these cases,
+# the gather cases and the long-row cases below were 2.8e-7 (float32) and
+# 6.1e-16 (float64) of the largest magnitude.
 DEPTHWISE_PATH_CASES = [
     pytest.param(dtype, kernel, stride, padding, id=f"{tag}{np.dtype(dtype).name}")
     for tag, kernel, stride, padding in (("", (3, 5), 2, (1, 2)),
@@ -225,7 +227,8 @@ def test_conv2d_depthwise_bitwise_matches_grouped_path(dtype, kernel, stride, pa
 
 
 # (kernel, stride, padding): stride 1 and 2, no padding, and padding as
-# wide as the kernel or wider, where the gather crops g instead of padding it.
+# wide as the kernel or wider. The strided and over-padded cases run the
+# im2col path, the others the depthwise gather.
 DEPTHWISE_GATHER_CASES = [((3, 3), 1, 1), ((7, 7), 1, 3), ((3, 3), 1, 0), ((3, 3), 1, 3),
                           ((3, 5), 2, (1, 2)), ((3, 3), 2, 0), ((3, 2), (2, 3), (4, 2)), ((1, 3), 1, (0, 1))]
 
@@ -234,10 +237,11 @@ DEPTHWISE_GATHER_CASES = [((3, 3), 1, 1), ((7, 7), 1, 3), ((3, 3), 1, 0), ((3, 3
 @pytest.mark.parametrize("kernel,stride,padding", DEPTHWISE_GATHER_CASES)
 def test_conv2d_depthwise_input_adjoint_is_tap_oracle_bitwise(dtype, kernel, stride, padding):
     # The gather adds w*0 for every tap that misses g, where the oracle
-    # scatters nothing. Where the oracle's adjoint is exactly zero, also
-    # over the region where g is zero, the gather's must be too, and a
-    # channel whose g is all zero gets no negative zeros. The name is from
-    # when the two matched bit for bit; they now agree to DEPTHWISE_TOL.
+    # scatters nothing; col2im adds w*0 for the zeros of g. Where the
+    # oracle's adjoint is exactly zero, also over the region where g is
+    # zero, the gather's must be too, and a channel whose g is all zero gets
+    # no negative zeros. The name is from when the two matched bit for bit;
+    # they now agree to DEPTHWISE_TOL.
     rng = stream(16, "conv.gather", np.dtype(dtype).name, str((kernel, stride, padding)))
     C = 6
     x = Tensor(rng.standard_normal((2, C, 9, 10)), dtype=dtype, requires_grad=True)
@@ -256,10 +260,12 @@ def test_conv2d_depthwise_input_adjoint_is_tap_oracle_bitwise(dtype, kernel, str
 
 
 # Output rows of several 32-column band blocks with a ragged tail:
-# (kernel, stride, padding, (H, W)). Their W' are 70, 70 and 67, and the
-# 3x5 stride-3 case's last block (3 columns) is narrower than its kernel.
+# (kernel, stride, padding, (H, W)). Their W' are 70, 70, 67 and 66. The
+# two strided cases run the im2col path. On the depthwise path, the 7x7
+# case at width 66 has blocks of 32, 32 and 2 columns, so its last block
+# is narrower than its kernel.
 DEPTHWISE_LONG_ROW_CASES = [((7, 7), 1, 3, (6, 70)), ((3, 5), (2, 1), (1, 2), (7, 70)),
-                            ((3, 5), 3, (1, 2), (7, 200))]
+                            ((3, 5), 3, (1, 2), (7, 200)), ((7, 7), 1, 3, (6, 66))]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -291,22 +297,48 @@ def test_conv2d_depthwise_long_rows_match_finite_differences(kernel, stride, pad
     assert result.ok, str(result)
 
 
-# (kernel, bw, sw): stride 1 and 2, and kernels wider than the block.
-@pytest.mark.parametrize("kernel,bw,sw", [((3, 5), 4, 1), ((2, 3), 4, 2), ((3, 7), 3, 1), ((1, 5), 2, 2)])
-def test_depthwise_band_matches_loop_toeplitz(kernel, bw, sw):
-    rng = stream(24, "conv.dw.band", str((kernel, bw, sw)))
+# (kernel, bw): a kernel narrower than the block and one wider.
+@pytest.mark.parametrize("kernel,bw", [((3, 5), 4), ((3, 7), 3)])
+def test_depthwise_band_matches_loop_toeplitz(kernel, bw):
+    rng = stream(24, "conv.dw.band", str((kernel, bw, 1)))
     kh, kw = kernel
     w = rng.standard_normal((3, kh, kw)).astype(np.float32)
-    span = (bw - 1) * sw + kw
+    span = bw - 1 + kw
     ref = np.zeros((3, kh * span, bw), dtype=np.float32)
     for c in range(3):
         for u in range(kh):
             for v in range(kw):
                 for j in range(bw):
-                    ref[c, u * span + j * sw + v, j] = w[c, u, v]
-    band = ops._depthwise_band(w, bw, sw)
+                    ref[c, u * span + j + v, j] = w[c, u, v]
+    band = ops._depthwise_band(w, bw)
     assert band.dtype == w.dtype
     np.testing.assert_array_equal(band, ref)
+
+
+# (kernel, stride, padding, banded): "same" padding at stride 1 runs the
+# banded kernel; a stride above 1, or padding as wide as the kernel on
+# either axis, runs im2col.
+DEPTHWISE_ROUTES = [((3, 3), 1, 1, True), ((7, 7), 1, 3, True), ((1, 3), 1, (0, 1), True),
+                    ((3, 3), 2, 1, False), ((5, 5), (1, 2), 2, False),
+                    ((3, 3), 1, 3, False), ((3, 5), 1, (1, 5), False)]
+
+
+@pytest.mark.parametrize("kernel,stride,padding,banded", DEPTHWISE_ROUTES)
+def test_conv2d_routes_only_stride1_narrow_padding_to_depthwise(monkeypatch, kernel, stride, padding, banded):
+    calls, depthwise = [], ops._conv2d_depthwise
+
+    def counted(*args):
+        calls.append(args)
+        return depthwise(*args)
+
+    monkeypatch.setattr(ops, "_conv2d_depthwise", counted)
+    rng = stream(25, "conv.dw.route", str((kernel, stride, padding)))
+    C = 4
+    x = Tensor(rng.standard_normal((2, C, 9, 10)), dtype=np.float64)
+    w = Tensor(rng.standard_normal((C, 1, *kernel)), dtype=np.float64)
+    y = ops.conv2d(x, w, None, stride=stride, padding=padding, groups=C)
+    assert len(calls) == int(banded)
+    np.testing.assert_allclose(y.data, naive_conv2d(x.data, w.data, None, stride, padding, C), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("geometry", [dict(kernel=(3, 3), padding=1, cout=5),
@@ -368,9 +400,9 @@ def test_conv2d_1x1_column_alias_is_read_only(dtype, groups):
 @pytest.mark.parametrize("kernel", [(3, 3), (3, 1)])
 def test_conv2d_full_window_column_alias_is_read_only(kernel):
     # With one sample, a kernel as tall as its unpadded input and as wide or
-    # one column wide makes the folded window view contiguous, so the column
-    # buffer is x.data itself; only the view's read-only flag keeps the
-    # adjoint from writing the column adjoint over it.
+    # one column wide makes the folded window view contiguous, the layout of
+    # x.data itself. The column buffer is still a copy, so the adjoint's
+    # column gradient, written into that buffer, leaves x.data intact.
     rng = stream(19, "conv.alias.full", str(kernel))
     x = Tensor(rng.standard_normal((1, 2, 3, 3)), dtype=np.float64, requires_grad=True)
     w = Tensor(rng.standard_normal((4, 2, *kernel)), dtype=np.float64, requires_grad=True)
