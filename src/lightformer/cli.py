@@ -3,7 +3,7 @@
 Every command echoes the effective configuration to ``<out_dir>/config.ini``;
 ``infer`` and ``dump-attn`` write ``infer.ini`` and ``dump-attn.ini`` instead,
 so that pointing them at a training run's directory keeps the config it was
-trained with. Outputs are byte-identical for identical (config, seed). Exit codes:
+trained with. Outputs are byte-identical for an identical config. Exit codes:
 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
@@ -36,7 +36,7 @@ _CONFIG_NAMES = {"infer": "infer.ini", "dump-attn": "dump-attn.ini"}
 
 def _prepare_out(cfg: RunConfig, args) -> str:
     """Create the output directory and echo the config; call once the run is validated."""
-    out_dir = args.out or cfg["run.out_dir"]
+    out_dir = cfg["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, _CONFIG_NAMES.get(args.command, "config.ini")), cfg.to_text())
     return out_dir
@@ -223,8 +223,6 @@ def run_train_toy(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def cmd_train_toy(cfg: RunConfig, args) -> int:
-    if args.epochs is not None:
-        cfg.set("train.epochs", str(args.epochs))
     # A bad model config exits 2 before anything is written.
     if not cfg.decoder_config().aux_heads:
         raise ConfigError("model.aux_heads=false: training needs the auxiliary heads, "
@@ -244,7 +242,7 @@ def _image_and_model(cfg: RunConfig, args, check_image=lambda image: None):
     dcfg = cfg.decoder_config()
     image = _standardize_u8(fileio.read_ppm(args.image), cfg)
     check_image(image)
-    checkpoint = args.checkpoint or os.path.join(args.out or cfg["run.out_dir"], "checkpoint.lftc")
+    checkpoint = args.checkpoint or os.path.join(cfg["run.out_dir"], "checkpoint.lftc")
     if not os.path.exists(checkpoint):
         raise FileNotFoundError(f"checkpoint not found: {checkpoint}")
     model = build_model(dcfg, cfg.seed)
@@ -253,10 +251,6 @@ def _image_and_model(cfg: RunConfig, args, check_image=lambda image: None):
 
 
 def cmd_infer(cfg: RunConfig, args) -> int:
-    if args.window is not None:
-        cfg.set("infer.window", str(args.window))
-    if args.stride is not None:
-        cfg.set("infer.stride", str(args.stride))
     window, stride = cfg["infer.window"], cfg["infer.stride"]
 
     def check_windows(image):
@@ -358,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="override one config value")
-        p.add_argument("--out", help="output directory (default: run.out_dir)")
+        p.add_argument("--out", help="output directory; sets run.out_dir")
 
     p = sub.add_parser("analyze", help="static parameter/FLOP reports")
     common(p)
@@ -374,15 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-toy", help="train on the synthetic three-class set")
     common(p)
-    p.add_argument("--epochs", type=int, help="override train.epochs")
+    p.add_argument("--epochs", type=int, help="sets train.epochs")
     p.set_defaults(fn=cmd_train_toy)
 
     p = sub.add_parser("infer", help="sliding-window inference on a PPM image")
     common(p)
     p.add_argument("image", help="input PPM image")
     p.add_argument("--checkpoint", help="checkpoint path (default: run.out_dir/checkpoint.lftc)")
-    p.add_argument("--window", type=int, help="override infer.window")
-    p.add_argument("--stride", type=int, help="override infer.stride")
+    p.add_argument("--window", type=int, help="sets infer.window")
+    p.add_argument("--stride", type=int, help="sets infer.stride")
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("dump-attn", help="write attention/selection heatmaps")
@@ -393,6 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FLAG_KEYS = {"out": "run.out_dir", "epochs": "train.epochs",
+              "window": "infer.window", "stride": "infer.stride"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -401,6 +399,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load(args.config, args.overrides)
+        # Flags that stand for config keys win over --set, and the echo records them.
+        for flag, key in _FLAG_KEYS.items():
+            if (value := getattr(args, flag, None)) is not None:
+                cfg.set(key, str(value))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

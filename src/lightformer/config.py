@@ -20,7 +20,6 @@ from dataclasses import fields
 
 from .blocks import BlockConfig
 from .network import INPUT_MULTIPLE, DecoderConfig
-from .rng import resolve_seed
 from .synthetic import MIN_SIZE
 from .training import IGNORE_LABEL
 
@@ -57,6 +56,12 @@ def _float_from(low: float, inclusive: bool = True):
     return parse
 
 
+def _nonempty(text: str) -> str:
+    if not text:
+        raise ValueError("must not be empty")
+    return text
+
+
 def _parse_ints(text: str) -> tuple:
     return tuple(int(part) for part in text.split(","))
 
@@ -82,7 +87,7 @@ def _fmt(value) -> str:
 # section.key -> (parser, default). Order defines serialization order.
 SCHEMA = {
     "run.seed": (lambda s: int(s, 0), 0),
-    "run.out_dir": (str, "runs/out"),
+    "run.out_dir": (_nonempty, "runs/out"),
     # Masks are 8-bit and label 255 is IGNORE_LABEL, so classes stop below it.
     "model.num_classes": (_int_from(2, high=IGNORE_LABEL), 3),
     "model.encoder_channels": (_parse_ints, (24, 48, 96, 192)),
@@ -109,7 +114,7 @@ SCHEMA = {
     "train.weight_decay": (_float_from(0.0), 1e-2),
     "train.aux_weight": (_float_from(0.0), 0.4),
     "train.augment": (_parse_bool, True),
-    "train.stop_miou": (float, 0.95),
+    "train.stop_miou": (_float_from(0.0), 0.95),
     "infer.window": (_int_from(1), 1024),
     "infer.stride": (_int_from(1), 512),
     "infer.save_logits": (_parse_bool, False),
@@ -155,7 +160,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return resolve_seed(self["run.seed"])
+        return self["run.seed"]
 
     def decoder_config(self) -> DecoderConfig:
         """Each ``model.<name>`` key fills the ``DecoderConfig`` or ``BlockConfig``
@@ -201,7 +206,10 @@ def load(path=None, overrides=()) -> RunConfig:
     """Defaults, then the optional file, then overrides."""
     cfg = RunConfig()
     if path is not None:
-        with io.open(path, "r", encoding="utf-8") as fh:
-            parse_text(fh.read(), base=cfg)
+        try:
+            with io.open(path, "r", encoding="utf-8") as fh:
+                parse_text(fh.read(), base=cfg)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     cfg.apply_overrides(overrides)
     return cfg

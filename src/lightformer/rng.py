@@ -11,13 +11,9 @@ order and data generation does not depend on batch order.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _MASK = (1 << 64) - 1
-
-SEED_ENV_VAR = "LIGHTFORMER_SEED"
 
 
 def splitmix64(state: int) -> int:
@@ -47,14 +43,3 @@ def derive_seed(root: int, *labels: str) -> int:
 def stream(root: int, *labels: str) -> np.random.Generator:
     """A PCG64 generator seeded by ``derive_seed(root, *labels)``."""
     return np.random.Generator(np.random.PCG64(derive_seed(root, *labels)))
-
-
-def resolve_seed(configured: int) -> int:
-    """Config seed, unless LIGHTFORMER_SEED overrides it from the environment."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return configured & _MASK
-    try:
-        return int(raw, 0) & _MASK
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc

@@ -10,7 +10,6 @@ import pytest
 from lightformer import cli, config, fileio
 from lightformer.blocks import BlockConfig
 from lightformer.network import DecoderConfig
-from lightformer.rng import SEED_ENV_VAR, resolve_seed
 from lightformer.tensor import Tensor
 
 
@@ -230,19 +229,6 @@ class TestRunConfig:
         cfg = config.load(path, overrides=("run.seed=9",))
         assert cfg["run.seed"] == 9
 
-    def test_env_seed_override(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "1234")
-        assert resolve_seed(5) == 1234
-        cfg = config.load()
-        assert cfg.seed == 1234
-        monkeypatch.delenv(SEED_ENV_VAR)
-        assert config.load().seed == 0
-
-    def test_bad_env_seed(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
-        with pytest.raises(ValueError, match=SEED_ENV_VAR):
-            resolve_seed(5)
-
     def test_model_keys_are_the_config_fields(self):
         """Every ``model.*`` key fills the DecoderConfig or BlockConfig field of
         its name (``decode_channels`` fills ``BlockConfig.channels`` too)."""
@@ -394,11 +380,17 @@ TINY = (
     (("train-toy", "--set", "train.decoder_lr=nan"), "train.decoder_lr"),
     (("train-toy", "--set", "train.aux_weight=inf"), "train.aux_weight"),
     (("train-toy", "--set", "model.aux_heads=false"), "model.aux_heads"),
+    (("analyze", "--set", "run.out_dir="), "run.out_dir"),
+    (("train-toy", "--out", ""), "run.out_dir"),
+    (("train-toy", "--set", "train.stop_miou=nan"), "train.stop_miou"),
+    (("train-toy", "--set", "train.stop_miou=inf"), "train.stop_miou"),
+    (("train-toy", "--set", "train.stop_miou=-1"), "train.stop_miou"),
 ], ids=["zero_batch", "negative_epochs", "image_size_48", "train_heads",
         "zero_window", "negative_window", "zero_stride",
         "infer_heads", "dump_attn_heads", "zero_instances", "negative_instances",
         "zero_decoder_lr", "negative_encoder_lr", "nan_decoder_lr", "inf_aux_weight",
-        "train_no_aux_heads"])
+        "train_no_aux_heads", "empty_out_dir", "empty_out_flag",
+        "nan_stop_miou", "inf_stop_miou", "negative_stop_miou"])
 def test_bad_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, argv, named):
     out = tmp_path / "o"
     assert run_cli(argv[0], "--out", str(out), *TINY, *argv[1:]) == 2
@@ -461,6 +453,32 @@ class TestCliTrainToy:
         assert run_cli("train-toy", "--out", str(b), *TINY,
                        "--set", "run.seed=1") == 0
         assert (a / "metrics.csv").read_bytes() != (b / "metrics.csv").read_bytes()
+
+    def test_run_replays_from_its_echo(self, tmp_path, monkeypatch):
+        """The echoed config.ini alone repeats a run; the environment plays no part."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        monkeypatch.setenv("LIGHTFORMER_SEED", "7")
+        assert run_cli("train-toy", "--out", str(a), *TINY) == 0
+        monkeypatch.delenv("LIGHTFORMER_SEED")
+        assert run_cli("train-toy", "--config", str(a / "config.ini"), "--out", str(b)) == 0
+        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+        assert (a / "checkpoint.lftc").read_bytes() == (b / "checkpoint.lftc").read_bytes()
+        assert config.load(a / "config.ini")["run.out_dir"] == str(a)
+
+    def test_seed_is_taken_mod_2_to_the_64(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("train-toy", "--out", str(a), *TINY, "--set", "run.seed=-1") == 0
+        assert run_cli("train-toy", "--out", str(b), *TINY,
+                       "--set", f"run.seed={2**64 - 1}") == 0
+        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+        assert (a / "checkpoint.lftc").read_bytes() == (b / "checkpoint.lftc").read_bytes()
+
+    def test_flag_wins_over_set(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("train-toy", "--out", str(out), *TINY,
+                       "--set", "train.epochs=3", "--epochs", "1") == 0
+        assert len((out / "metrics.csv").read_text().splitlines()) == 3  # header, epochs 0 and 1
+        assert config.load(out / "config.ini")["train.epochs"] == 1
 
 
 class TestCliInferAndAttn:
@@ -657,3 +675,12 @@ class TestCliSurface:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("analyze", "--config", str(tmp_path / "absent.ini"),
                        "--out", str(tmp_path / "o")) == 2
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff\xfe[run]\nseed=1\n")
+        out = tmp_path / "o"
+        assert run_cli("analyze", "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+        assert not out.exists()
