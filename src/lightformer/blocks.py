@@ -136,9 +136,11 @@ class BatchNorm2d:
     Eval mode hands the buffers to the same op, which computes ``(x - m) /
     sqrt(v + eps)`` exactly as training does, so freezing right after one
     training pass with ``momentum`` set to 1 on the instance reproduces that
-    pass bit for bit. Both modes have adjoints for x, gamma and beta. For
-    forward-only inference, ``fold_batch_norms`` instead merges each eval batch norm that
-    follows a conv into that conv's weight and bias.
+    pass bit for bit, with or without ``relu``. ``relu=True`` clamps the
+    output at 0 inside the same node, as ``ConvNormAct`` asks. Both modes
+    have adjoints for x, gamma and beta. For forward-only inference,
+    ``fold_batch_norms`` instead merges each eval batch norm that follows a
+    conv into that conv's weight and bias.
     """
 
     eps, momentum = 1e-5, 0.1
@@ -154,9 +156,9 @@ class BatchNorm2d:
         self.running_var = store.add(f"{prefix}.running_var", (channels,),
                                      ("ones",), trainable=False)
 
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
+    def forward(self, x: Tensor, train: bool = False, relu: bool = False) -> Tensor:
         stats = None if train else (self.running_mean.data, self.running_var.data)
-        y, m, v = ops.norm2d(x, self.gamma, self.beta, self.eps, stats=stats)
+        y, m, v = ops.norm2d(x, self.gamma, self.beta, self.eps, stats=stats, relu=relu)
         if train:
             mom = self.momentum
             self.running_mean.data = (1.0 - mom) * self.running_mean.data + mom * m
@@ -205,7 +207,13 @@ def make_norm(store: ParamStore, prefix: str, channels: int, kind: str):
 
 
 class ConvNormAct:
-    """conv (one group) -> norm -> activation; the conv drops its bias when a norm follows."""
+    """conv (one group) -> norm -> activation; the conv drops its bias when a norm follows.
+
+    An unfolded ``BatchNorm2d`` followed by ReLU runs as one ``ops.norm2d``
+    node with ``relu=True``. A folded norm, group norm, ``norm="none"`` and
+    GELU run the norm and the activation as separate ops. ``cost`` prices
+    the ``.act`` row either way.
+    """
 
     def __init__(self, store: ParamStore, prefix: str, in_channels: int, out_channels: int,
                  kernel=1, stride=1, padding=0, norm: str = "batch", activation: str = "relu"):
@@ -214,12 +222,16 @@ class ConvNormAct:
                            stride=stride, padding=padding, bias=(norm == "none"))
         self.norm = make_norm(store, f"{prefix}.norm", out_channels, norm)
         self.act = _activation(activation)
+        self.relu = activation == "relu"
 
     def fold_norm(self) -> None:
         self.norm = fold_into_conv(self.conv, self.norm)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return self.act(self.norm.forward(self.conv.forward(x), train))
+        y = self.conv.forward(x)
+        if self.relu and isinstance(self.norm, BatchNorm2d):
+            return self.norm.forward(y, train, relu=True)
+        return self.act(self.norm.forward(y, train))
 
     def cost(self, rep, hw) -> tuple:
         hw = self.norm.cost(rep, self.conv.cost(rep, hw))

@@ -3,13 +3,18 @@
 Every command echoes the effective configuration to ``<out_dir>/config.ini``;
 ``infer`` and ``dump-attn`` write ``infer.ini`` and ``dump-attn.ini`` instead,
 so that pointing them at a training run's directory keeps the config it was
-trained with. Outputs are byte-identical for an identical config. Exit codes:
-0 success, 1 runtime failure, 2 usage or configuration error.
+trained with. The echo's first line, ``# argv: [...]``, is the command line
+as JSON, so it also records the arguments that have no config key (the
+image, ``--checkpoint``, ``--instances``, ``--shape``, ``--op``); a config
+reader skips it as a comment. Outputs are byte-identical for an identical
+config. Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -38,7 +43,8 @@ def _prepare_out(cfg: RunConfig, args) -> str:
     """Create the output directory and echo the config; call once the run is validated."""
     out_dir = cfg["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    _write(os.path.join(out_dir, _CONFIG_NAMES.get(args.command, "config.ini")), cfg.to_text())
+    _write(os.path.join(out_dir, _CONFIG_NAMES.get(args.command, "config.ini")),
+           f"# argv: {json.dumps(args.argv)}\n" + cfg.to_text())
     return out_dir
 
 
@@ -397,6 +403,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = load(args.config, args.overrides)
         # Flags that stand for config keys win over --set, and the echo records them.

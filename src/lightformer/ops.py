@@ -758,7 +758,7 @@ def nearest_upsample(x: Tensor, factors) -> Tensor:
 
 
 def norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, groups: int | None = None,
-           stats=None) -> tuple:
+           stats=None, relu: bool = False) -> tuple:
     """Normalize a [B,C,H,W] map, then scale by ``gamma`` and shift by ``beta`` (each (C,)).
 
     The statistics come from one of three sources:
@@ -770,12 +770,19 @@ def norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, groups: int | Non
       norm in eval mode.
 
     Every source computes ``(x - mean) / sqrt(var + eps) * gamma + beta``
-    with the same operations in the same order, so statistics given back
-    equal to a batch's reproduce that batch's output bit for bit. One tape
-    node. The adjoint of x is ``inv·(ĝ − mean(ĝ) − x̂·mean(ĝ·x̂))`` with
-    ĝ = g·gamma and inv = 1/sqrt(var + eps), the means running over each
-    statistic's elements; with given statistics it is ``ĝ·inv``. The
-    normalized map x̂ is recomputed from x in the adjoint, not kept.
+    in place in one buffer, with the same operations in the same order, so
+    statistics given back equal to a batch's reproduce that batch's output
+    bit for bit. ``relu=True`` then clamps the output at 0 in place, and
+    the adjoint is masked with ``out > 0``: the same values and mask as a
+    separate ``relu``, in one tape node.
+
+    The normalized map x̂ is recomputed from x in the adjoint, not kept.
+    With inv = 1/sqrt(var + eps) and n the elements of each statistic, the
+    per-channel adjoints run on a (B, C, H·W) view: g_beta sums g along
+    H·W and then over B, g_gamma is one ``einsum`` of g·x̂, and the adjoint
+    of x is ``gamma·inv·(g − g_beta/n − x̂·g_gamma/n)`` (Ioffe & Szegedy,
+    2015), or ``g·gamma·inv`` with given statistics. Group norm takes
+    ``inv·(ĝ − mean(ĝ) − x̂·mean(ĝ·x̂))`` with ĝ = g·gamma over each group.
 
     Returns ``(out, mean, var)``, the statistics used, with the biased
     variance: shaped (C,) for batch and given statistics, (B, G) for groups.
@@ -797,8 +804,8 @@ def norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, groups: int | Non
         xs, axes, count = x.data.reshape(B, groups, -1), (2,), C // groups * H * W
     if stats is None:
         m = _mean_keepdims(xs, axes, count)
-        centered = xs - m
-        v = _mean_keepdims(centered * centered, axes, count)
+        y = xs - m
+        v = _mean_keepdims(y * y, axes, count)
     else:
         for name, s in zip(("mean", "var"), stats):
             if s.shape != (C,):
@@ -806,22 +813,42 @@ def norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, groups: int | Non
             if s.dtype != x.dtype:
                 raise ShapeError(f"norm2d: dtype mismatch {x.dtype.name} vs given {name} {s.dtype.name}")
         m, v = (s.reshape(1, C, 1, 1) for s in stats)
-        centered = xs - m
+        y = xs - m
     std = np.sqrt(v + np.asarray(eps, dtype=x.dtype))
-    gam = gamma.data.reshape(1, C, 1, 1)
-    y = np.divide(centered, std, out=centered).reshape(B, C, H, W) * gam
+    y /= std
+    y = y.reshape(B, C, H, W)
+    y *= gamma.data.reshape(1, C, 1, 1)
     y += beta.data.reshape(1, C, 1, 1)
+    if relu:
+        np.maximum(y, 0, out=y)
+    relu_out = y if relu else None  # the adjoint keeps the output only to mask g
 
     def backward(g):
-        xhat = (xs - m) / std
-        g_gamma = (g * xhat.reshape(B, C, H, W)).sum(axis=(0, 2, 3))
-        gx = (g * gam).reshape(xs.shape)
-        if stats is None:
+        if relu_out is not None:
+            g = g * (relu_out > 0)
+        if groups is not None:
+            xhat = (xs - m) / std
+            g_gamma = (g * xhat.reshape(B, C, H, W)).sum(axis=(0, 2, 3))
+            gx = (g * gamma.data.reshape(1, C, 1, 1)).reshape(xs.shape)
             dot = _mean_keepdims(gx * xhat, axes, count)
             gx -= _mean_keepdims(gx, axes, count)
             gx -= np.multiply(xhat, dot, out=xhat)
-        gx *= 1.0 / std
-        return gx.reshape(B, C, H, W), g_gamma, g.sum(axis=(0, 2, 3))
+            gx *= 1.0 / std
+            return gx.reshape(B, C, H, W), g_gamma, g.sum(axis=(0, 2, 3))
+        g3 = g.reshape(B, C, H * W)
+        xhat = xs.reshape(B, C, H * W) - m.reshape(1, C, 1)
+        xhat /= std.reshape(1, C, 1)
+        g_beta = g3.sum(axis=2).sum(axis=0)
+        g_gamma = np.einsum("bcn,bcn->c", g3, xhat)
+        scale = (gamma.data / std.reshape(C))[:, None]
+        if stats is None:
+            xhat *= (g_gamma / count)[:, None]
+            gx = np.subtract(g3, xhat, out=xhat)
+            gx -= (g_beta / count)[:, None]
+            gx *= scale
+        else:
+            gx = np.multiply(g3, scale, out=xhat)
+        return gx.reshape(B, C, H, W), g_gamma, g_beta
 
     out = _result("norm2d", (x, gamma, beta), y, backward)
     shape = (C,) if groups is None else (B, groups)

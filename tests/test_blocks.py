@@ -392,13 +392,15 @@ class TestNormalization:
     def test_batchnorm_freeze_bit_exact(self):
         """With momentum forced to 1, one training pass writes the batch
         statistics into the buffers and the eval pass reproduces the same
-        output bit for bit."""
-        bn, _ = _build(lambda s: bl.BatchNorm2d(s, "bn", 4))
-        bn.momentum = 1.0
+        output bit for bit, with and without the fused ReLU."""
         x = Tensor(stream(20, "bn").standard_normal((3, 4, 5, 5)))
-        out_train = bn.forward(x, train=True)
-        out_eval = bn.forward(x, train=False)
-        np.testing.assert_array_equal(out_train.data, out_eval.data)
+        for relu in (False, True):
+            bn, _ = _build(lambda s: bl.BatchNorm2d(s, "bn", 4))
+            bn.momentum = 1.0
+            out_train = bn.forward(x, train=True, relu=relu)
+            out_eval = bn.forward(x, train=False, relu=relu)
+            np.testing.assert_array_equal(out_train.data, out_eval.data)
+            assert (out_train.data == 0).any() == relu
 
     def test_batchnorm_running_stats_move(self):
         bn, store = _build(lambda s: bl.BatchNorm2d(s, "bn", 2))
@@ -456,6 +458,32 @@ class TestNormalization:
         result = check_gradients(lambda: gn.forward(x, train=True), [x, gamma, beta],
                                  tol=PRIMITIVE_TOL, name="groupnorm.g3")
         assert result.ok, str(result)
+
+
+class TestConvNormActRouting:
+    @pytest.mark.parametrize("norm, activation, folded, recorded", [
+        ("batch", "relu", False, ["conv2d", "norm2d"]),
+        ("batch", "relu", True, ["conv2d", "relu"]),
+        ("group", "relu", False, ["conv2d", "norm2d", "relu"]),
+        ("none", "relu", False, ["conv2d", "relu"]),
+        ("batch", "gelu", False, ["conv2d", "norm2d", "gelu"]),
+    ])
+    def test_fused_node_only_for_unfolded_batch_norm_with_relu(self, norm, activation, folded,
+                                                               recorded):
+        """Only an unfolded batch norm takes the ReLU into its node, and the
+        fused output equals the composed one bit for bit."""
+        block, _ = _build(lambda s: bl.ConvNormAct(s, "cna", 3, 4, 1, norm=norm,
+                                                   activation=activation))
+        if folded:
+            block.fold_norm()
+        x = Tensor(stream(27, "cna").standard_normal((2, 3, 4, 4)), dtype=np.float64,
+                   requires_grad=True)
+        for train in (False,) if folded else (True, False):
+            with Tape() as tape:
+                out = block.forward(x, train=train)
+            assert [n.op for n in tape.nodes] == recorded
+            composed = block.act(block.norm.forward(block.conv.forward(x), train))
+            np.testing.assert_array_equal(out.data, composed.data)
 
 
 class TestFrozenParamCounts:

@@ -1,6 +1,7 @@
 """Serialization formats, run configuration, and the command-line surface."""
 
 import dataclasses
+import json
 import os
 import struct
 
@@ -539,7 +540,9 @@ class TestCliInferAndAttn:
         assert (trained / "config.ini").read_bytes() == before
         echoed = config.parse_text((trained / "infer.ini").read_text())
         assert echoed["infer.window"] == 32
-        assert (trained / "dump-attn.ini").exists()
+        for name, command in (("infer.ini", "infer"), ("dump-attn.ini", "dump-attn")):
+            first = (trained / name).read_text().splitlines()[0]
+            assert json.loads(first.removeprefix("# argv: "))[:2] == [command, str(scene)]
 
     def test_only_infer_folds_batch_norms(self, trained, tmp_path, monkeypatch):
         """infer runs the six attention pre-norms per forward; dump-attn all 36."""
@@ -657,6 +660,25 @@ class TestCliGradcheck:
         assert run_cli("gradcheck", "--out", str(out), "--op", "relu",
                        "--instances", "2") == 0
         assert "relu" in (out / "gradcheck.txt").read_text()
+
+    def test_echo_records_the_command_line(self, tmp_path):
+        """``--instances`` has no config key, so only the echo's argv line
+        tells these two runs apart. The line is JSON, so a ``--set`` value
+        with a newline stays on it, and loading the echo gives back the
+        run's config."""
+        echoes = {}
+        for n in ("1", "3"):
+            out = tmp_path / n
+            argv = ["gradcheck", "--op", "relu", "--instances", n, "--out", str(out),
+                    "--set", "run.seed=\n5"]
+            assert run_cli(*argv) == 0
+            assert len((out / "gradcheck.txt").read_text().splitlines()) == int(n)
+            first, rest = (out / "config.ini").read_text().split("\n", 1)
+            assert first == "# argv: " + json.dumps(argv)
+            loaded = config.load(out / "config.ini")
+            assert loaded["run.seed"] == 5 and loaded.to_text() == rest
+            echoes[n] = (first, rest.replace(str(out), "<out>"))
+        assert echoes["1"][0] != echoes["3"][0] and echoes["1"][1] == echoes["3"][1]
 
     def test_unknown_op_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "g"

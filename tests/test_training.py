@@ -428,8 +428,10 @@ def test_train_step_memory():
     each node's saved arrays as it passes, so the peak stays near the forward's
     activations (about 34 MiB) instead of holding every node and adjoint until
     the step ends (about 88 MiB). Each of the 36 norm layers records one node
-    that keeps no normalized copy of its input, and each CE term folds its
-    sign into its final scale, so the tape holds 351 nodes."""
+    that keeps no normalized copy of its input, the 24 batch norms that a
+    ReLU follows inside a ``ConvNormAct`` take that ReLU into their node, and
+    each CE term folds its sign into its final scale, so the tape holds 327
+    nodes."""
     from lightformer import config, network, synthetic
 
     cfg = config.load()
@@ -455,7 +457,7 @@ def test_train_step_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nodes == 351, f"train step recorded {nodes} tape nodes"
+    assert nodes == 327, f"train step recorded {nodes} tape nodes"
     assert peak < 42 * 2**20, f"train step peak {peak / 2**20:.1f} MiB"
 
 
