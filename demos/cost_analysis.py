@@ -33,7 +33,7 @@ def main():
         print(f"  {row.name:<40s} {row.macs:>12,}")
 
     # The rows must cover exactly the trainable tensors of a live store.
-    store = net.init_params(cfg, seed=0)
+    store = net.build_model(cfg, seed=0).store
     live = sum(t.data.size for _, t in store.trainable())
     print(f"\nanalytic params {eff.count_params(cfg):,} == live store {live:,}")
     assert eff.count_params(cfg) == live

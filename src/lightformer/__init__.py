@@ -16,7 +16,6 @@ from .network import (
     Model,
     StubEncoder,
     build_model,
-    init_params,
     load_checkpoint,
     save_checkpoint,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "count_params",
     "cross_entropy_loss",
     "dice_loss",
-    "init_params",
     "load_checkpoint",
     "load_config",
     "model_cost",

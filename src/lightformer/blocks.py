@@ -114,13 +114,14 @@ class Conv2d:
 
 
 class Identity:
-    """``norm="none"``: passes its input through and prices a zero row."""
+    """``norm="none"`` or a folded norm: passes its input through, or
+    through one ``ops.relu`` with ``relu=True``, and prices a zero row."""
 
     def __init__(self, prefix: str):
         self.prefix = prefix
 
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return x
+    def forward(self, x: Tensor, train: bool = False, relu: bool = False) -> Tensor:
+        return ops.relu(x) if relu else x
 
     def cost(self, rep, hw) -> tuple:
         rep.add(self.prefix)
@@ -173,7 +174,8 @@ class BatchNorm2d:
 
 class GroupNorm2d:
     """Stateless per-sample normalization over channel groups, one
-    ``ops.norm2d`` node; train == eval. ``eps`` is a class constant."""
+    ``ops.norm2d`` node; train == eval. ``relu=True`` clamps the output at 0
+    inside the same node, as in ``BatchNorm2d``. ``eps`` is a class constant."""
 
     eps = 1e-5
 
@@ -190,8 +192,8 @@ class GroupNorm2d:
         self.gamma = store.add(f"{prefix}.gamma", (channels,), ("ones",))
         self.beta = store.add(f"{prefix}.beta", (channels,), ("zeros",))
 
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        return ops.norm2d(x, self.gamma, self.beta, self.eps, groups=self.groups)[0]
+    def forward(self, x: Tensor, train: bool = False, relu: bool = False) -> Tensor:
+        return ops.norm2d(x, self.gamma, self.beta, self.eps, groups=self.groups, relu=relu)[0]
 
     cost = BatchNorm2d.cost
 
@@ -209,10 +211,10 @@ def make_norm(store: ParamStore, prefix: str, channels: int, kind: str):
 class ConvNormAct:
     """conv (one group) -> norm -> activation; the conv drops its bias when a norm follows.
 
-    An unfolded ``BatchNorm2d`` followed by ReLU runs as one ``ops.norm2d``
-    node with ``relu=True``. A folded norm, group norm, ``norm="none"`` and
-    GELU run the norm and the activation as separate ops. ``cost`` prices
-    the ``.act`` row either way.
+    A ReLU is passed to the norm as ``relu=True``: an unfolded norm runs
+    it inside its one ``ops.norm2d`` node, and a folded norm or
+    ``norm="none"`` runs one ``ops.relu``. GELU runs as a separate op after
+    the norm. ``cost`` prices the ``.act`` row either way.
     """
 
     def __init__(self, store: ParamStore, prefix: str, in_channels: int, out_channels: int,
@@ -228,10 +230,8 @@ class ConvNormAct:
         self.norm = fold_into_conv(self.conv, self.norm)
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        y = self.conv.forward(x)
-        if self.relu and isinstance(self.norm, BatchNorm2d):
-            return self.norm.forward(y, train, relu=True)
-        return self.act(self.norm.forward(y, train))
+        y = self.norm.forward(self.conv.forward(x), train, relu=self.relu)
+        return y if self.relu else self.act(y)
 
     def cost(self, rep, hw) -> tuple:
         hw = self.norm.cost(rep, self.conv.cost(rep, hw))
@@ -561,7 +561,6 @@ class LCRM:
         self.prefix = prefix
         self.channel_split = channel_split
         width = c // 2 if channel_split else c
-        self.width = width
         self.global_branch = GlobalBranch(store, f"{prefix}.global", width, cfg)
         self.local_branch = LocalBranch(store, f"{prefix}.local", width, cfg)
         self.fuse = ConvNormAct(store, f"{prefix}.fuse", 3 * width, c, 1,

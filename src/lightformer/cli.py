@@ -233,6 +233,10 @@ def cmd_train_toy(cfg: RunConfig, args) -> int:
     if not cfg.decoder_config().aux_heads:
         raise ConfigError("model.aux_heads=false: training needs the auxiliary heads, "
                           "whose losses are part of the objective")
+    classes = len(synthetic.CLASS_COLORS)
+    if cfg["model.num_classes"] < classes:
+        raise ConfigError(f"model.num_classes={cfg['model.num_classes']}: the synthetic "
+                          f"data has {classes} classes")
     out_dir = _prepare_out(cfg, args)
     summary = run_train_toy(cfg, out_dir)
     print(f"done: {summary['epochs_run']} epochs, final val miou {summary['final_miou']:.4f}")

@@ -49,9 +49,6 @@ class CostReport:
     def add(self, name: str, params: int = 0, macs: int = 0, ops: int = 0) -> None:
         self.rows.append(CostRow(name, int(params), int(macs), int(ops)))
 
-    def extend(self, other: "CostReport") -> None:
-        self.rows.extend(other.rows)
-
     @property
     def params(self) -> int:
         return sum(r.params for r in self.rows)
@@ -67,10 +64,6 @@ class CostReport:
     @property
     def ops(self) -> int:
         return sum(r.ops for r in self.rows)
-
-    @property
-    def totals(self) -> tuple:
-        return (self.params, self.macs, self.flops)
 
     def as_text(self) -> str:
         width = max([len(r.name) for r in self.rows] + [len("TOTAL")]) + 2
@@ -138,11 +131,6 @@ class ChannelManagementRow:
     @property
     def mac_reduction(self) -> float:
         return 1.0 - self.macs_split / self.macs_base
-
-    @property
-    def flop_reduction(self) -> float:
-        # flops = 2 x macs on both sides, so the ratio is unchanged.
-        return self.mac_reduction
 
 
 def report_channel_management(shapes=TABLE_SHAPES) -> list:

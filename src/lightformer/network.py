@@ -187,11 +187,6 @@ def build_model(cfg: DecoderConfig, seed: int, dtype=np.float32) -> Model:
     return model
 
 
-def init_params(cfg: DecoderConfig, seed: int, dtype=np.float32) -> ParamStore:
-    """The initialized store for ``cfg``, reproducible from ``seed`` alone."""
-    return build_model(cfg, seed, dtype=dtype).store
-
-
 def save_checkpoint(store: ParamStore, path) -> None:
     fileio.write_container(path, store.state_arrays())
 

@@ -66,9 +66,6 @@ class ParamStore:
     def trainable(self):
         return [(name, e.tensor) for name, e in self._entries.items() if e.trainable]
 
-    def buffers(self):
-        return [(name, e.tensor) for name, e in self._entries.items() if not e.trainable]
-
     def total_params(self) -> int:
         """Number of trainable scalars (buffers excluded)."""
         return sum(t.size for _, t in self.trainable())

@@ -73,10 +73,6 @@ class Tensor:
     # avoid a circular import; see the bottom of that module.
 
 
-def tensor(data, dtype=np.float32, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, dtype=dtype, requires_grad=requires_grad)
-
-
 class TapeNode:
     __slots__ = ("op", "inputs", "output", "backward")
 

@@ -289,12 +289,6 @@ class ConfusionMatrix:
         flat = t.astype(np.int64) * k + p.astype(np.int64)
         self.counts += np.bincount(flat, minlength=k * k).reshape(k, k)
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise ValueError("class count mismatch")
-        self.counts += other.counts
-        return self
-
     def finalize(self) -> Metrics:
         """Metrics over classes present in truth or prediction; errors if empty."""
         total = int(self.counts.sum())

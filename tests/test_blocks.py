@@ -412,7 +412,7 @@ class TestNormalization:
 
     def test_groupnorm_is_stateless(self):
         gn, store = _build(lambda s: bl.GroupNorm2d(s, "gn", 4, groups=2))
-        assert store.buffers() == []
+        assert store.trainable() == store.tensors()
         x = Tensor(stream(22, "gn").standard_normal((2, 4, 4, 4)))
         np.testing.assert_array_equal(gn.forward(x, train=True).data,
                                       gn.forward(x, train=False).data)
@@ -464,26 +464,36 @@ class TestConvNormActRouting:
     @pytest.mark.parametrize("norm, activation, folded, recorded", [
         ("batch", "relu", False, ["conv2d", "norm2d"]),
         ("batch", "relu", True, ["conv2d", "relu"]),
-        ("group", "relu", False, ["conv2d", "norm2d", "relu"]),
+        ("group", "relu", False, ["conv2d", "norm2d"]),
         ("none", "relu", False, ["conv2d", "relu"]),
         ("batch", "gelu", False, ["conv2d", "norm2d", "gelu"]),
     ])
-    def test_fused_node_only_for_unfolded_batch_norm_with_relu(self, norm, activation, folded,
-                                                               recorded):
-        """Only an unfolded batch norm takes the ReLU into its node, and the
-        fused output equals the composed one bit for bit."""
+    def test_relu_fused_into_every_unfolded_norm(self, norm, activation, folded, recorded):
+        """Every unfolded norm takes the ReLU into its node; a folded or
+        absent norm and GELU run the activation as its own node. The output
+        and the adjoints of x and every parameter equal those of the composed
+        ops (the norm, then the activation) bit for bit."""
         block, _ = _build(lambda s: bl.ConvNormAct(s, "cna", 3, 4, 1, norm=norm,
                                                    activation=activation))
         if folded:
             block.fold_norm()
-        x = Tensor(stream(27, "cna").standard_normal((2, 3, 4, 4)), dtype=np.float64,
-                   requires_grad=True)
+        rng = stream(27, "cna")
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)), dtype=np.float64, requires_grad=True)
+        weight = Tensor(rng.standard_normal((2, 4, 4, 4)), dtype=np.float64)
         for train in (False,) if folded else (True, False):
             with Tape() as tape:
                 out = block.forward(x, train=train)
-            assert [n.op for n in tape.nodes] == recorded
-            composed = block.act(block.norm.forward(block.conv.forward(x), train))
+                loss = ops.sum_(ops.mul(out, weight))
+            assert [n.op for n in tape.nodes][:-2] == recorded
+            grads = tape.backward(loss)
+            with Tape() as tape:
+                composed = block.act(block.norm.forward(block.conv.forward(x), train))
+                loss = ops.sum_(ops.mul(composed, weight))
+            composed_grads = tape.backward(loss)
             np.testing.assert_array_equal(out.data, composed.data)
+            assert x in grads and list(grads) == list(composed_grads)
+            for leaf, g in grads.items():
+                np.testing.assert_array_equal(g, composed_grads[leaf])
 
 
 class TestFrozenParamCounts:

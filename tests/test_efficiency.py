@@ -35,7 +35,7 @@ class TestDualRoute:
         (DEFAULT6, 4_858_585),
     ])
     def test_analytic_matches_store(self, cfg, frozen):
-        store = net.init_params(cfg, seed=0)
+        store = net.build_model(cfg, seed=0).store
         live = sum(t.data.size for _, t in store.trainable())
         assert eff.count_params(cfg) == live == frozen
 
@@ -49,7 +49,7 @@ class TestDualRoute:
                               block=BlockConfig(channels=128, norm="group",
                                                 eca_kernel=5, sism_kernels=(3, 5, 5, 3))),
         ):
-            store = net.init_params(cfg, seed=1)
+            store = net.build_model(cfg, seed=1).store
             live = sum(t.data.size for _, t in store.trainable())
             assert eff.count_params(cfg) == live
 
@@ -60,7 +60,7 @@ class TestDualRoute:
             names = [r.name for r in rows]
             assert len(set(names)) == len(names)
             covered = dict.fromkeys(names, 0)
-            for entry, t in net.init_params(cfg, seed=0).trainable():
+            for entry, t in net.build_model(cfg, seed=0).store.trainable():
                 owners = [n for n in names if entry == n or entry.startswith(n + ".")]
                 assert len(owners) == 1, (entry, owners)
                 covered[owners[0]] += t.size
@@ -97,20 +97,19 @@ class TestAdditivity:
         assert rep.params == sum(r.params for r in rep.rows)
         assert rep.macs == sum(r.macs for r in rep.rows)
         assert rep.ops == sum(r.ops for r in rep.rows)
-        assert rep.totals == (rep.params, rep.macs, rep.flops)
+        assert rep.flops == 2 * rep.macs
 
     def test_lcrm_equals_its_pieces(self):
         cfg = BlockConfig(channels=64)
         lcrm = LCRM(ParamStore(), "m", cfg)
         whole = eff.block_cost(lcrm, (16, 16), 2)
         parts = eff.CostReport()
-        parts.extend(eff.block_cost(lcrm.global_branch, (16, 16), 2))
-        parts.extend(eff.block_cost(lcrm.local_branch, (16, 16), 2))
-        parts.extend(eff.block_cost(lcrm.fuse, (16, 16), 2))
+        for piece in (lcrm.global_branch, lcrm.local_branch, lcrm.fuse):
+            parts.rows += eff.block_cost(piece, (16, 16), 2).rows
         parts.add("m.shuffle", ops=2 * 64 * 16 * 16)
-        parts.extend(eff.block_cost(lcrm.eca, (16, 16), 2))
-        assert whole.totals == parts.totals
-        assert whole.ops == parts.ops
+        parts.rows += eff.block_cost(lcrm.eca, (16, 16), 2).rows
+        assert (whole.params, whole.macs, whole.flops, whole.ops) == \
+            (parts.params, parts.macs, parts.flops, parts.ops)
 
     def test_model_is_encoder_plus_decoder(self):
         model = net.Model(TOY, ParamStore())
@@ -249,7 +248,6 @@ class TestChannelManagement:
             dp, dm = expected[row.shape]
             assert row.param_reduction == pytest.approx(dp, abs=5e-4)
             assert row.mac_reduction == pytest.approx(dm, abs=5e-4)
-            assert row.flop_reduction == row.mac_reduction
 
     def test_params_independent_of_shape_within_width(self):
         by_width = {}

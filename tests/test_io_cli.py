@@ -381,6 +381,7 @@ TINY = (
     (("train-toy", "--set", "train.decoder_lr=nan"), "train.decoder_lr"),
     (("train-toy", "--set", "train.aux_weight=inf"), "train.aux_weight"),
     (("train-toy", "--set", "model.aux_heads=false"), "model.aux_heads"),
+    (("train-toy", "--set", "model.num_classes=2"), "model.num_classes"),
     (("analyze", "--set", "run.out_dir="), "run.out_dir"),
     (("train-toy", "--out", ""), "run.out_dir"),
     (("train-toy", "--set", "train.stop_miou=nan"), "train.stop_miou"),
@@ -390,7 +391,7 @@ TINY = (
         "zero_window", "negative_window", "zero_stride",
         "infer_heads", "dump_attn_heads", "zero_instances", "negative_instances",
         "zero_decoder_lr", "negative_encoder_lr", "nan_decoder_lr", "inf_aux_weight",
-        "train_no_aux_heads", "empty_out_dir", "empty_out_flag",
+        "train_no_aux_heads", "train_two_classes", "empty_out_dir", "empty_out_flag",
         "nan_stop_miou", "inf_stop_miou", "negative_stop_miou"])
 def test_bad_setting_is_usage_error_and_writes_nothing(tmp_path, capsys, argv, named):
     out = tmp_path / "o"
@@ -598,7 +599,7 @@ class TestCliInferAndAttn:
         no_aux = (*TINY, "--set", "model.aux_heads=false")
         ckpt = tmp_path / "no_aux.lftc"
         dcfg = config.load(overrides=no_aux[1::2]).decoder_config()
-        network.save_checkpoint(network.init_params(dcfg, seed=0), ckpt)
+        network.save_checkpoint(network.build_model(dcfg, seed=0).store, ckpt)
         scene = self._write_input(tmp_path)
         assert run_cli("analyze", "--out", str(tmp_path / "a"), *no_aux) == 0
         for command in ("infer", "dump-attn"):

@@ -93,14 +93,14 @@ class TestDecoderConfig:
 
 class TestDeterminism:
     def test_same_seed_identical_stores(self):
-        a = net.init_params(tiny_config(), seed=9)
-        b = net.init_params(tiny_config(), seed=9)
+        a = net.build_model(tiny_config(), seed=9).store
+        b = net.build_model(tiny_config(), seed=9).store
         for (name, ta), (_, tb) in zip(a.tensors(), b.tensors()):
             np.testing.assert_array_equal(ta.data, tb.data, err_msg=name)
 
     def test_different_seed_differs(self):
-        a = net.init_params(tiny_config(), seed=9)
-        b = net.init_params(tiny_config(), seed=10)
+        a = net.build_model(tiny_config(), seed=9).store
+        b = net.build_model(tiny_config(), seed=10).store
         assert any(not np.array_equal(ta.data, tb.data)
                    for (_, ta), (_, tb) in zip(a.tensors(), b.tensors()))
 
@@ -204,14 +204,14 @@ class TestCheckpoints:
 
     def test_missing_entries_rejected(self, tmp_path):
         path = tmp_path / "model.lftc"
-        net.save_checkpoint(net.init_params(tiny_config(aux_heads=False), seed=0), path)
+        net.save_checkpoint(net.build_model(tiny_config(aux_heads=False), seed=0).store, path)
         full = net.build_model(tiny_config(), seed=0)
         with pytest.raises(ValueError, match="state mismatch"):
             net.load_checkpoint(full.store, path)
 
     def test_shape_drift_rejected(self, tmp_path):
         path = tmp_path / "model.lftc"
-        net.save_checkpoint(net.init_params(tiny_config(), seed=0), path)
+        net.save_checkpoint(net.build_model(tiny_config(), seed=0).store, path)
         wider = net.build_model(tiny_config(num_classes=5), seed=0)
         with pytest.raises(ValueError, match="shape"):
             net.load_checkpoint(wider.store, path)

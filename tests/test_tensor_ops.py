@@ -8,7 +8,6 @@ import pytest
 
 from lightformer import ShapeError, Tape, Tensor, fileio, ops
 from lightformer.gradcheck import PRIMITIVE_TOL, check_gradients
-from lightformer.tensor import tensor
 from lightformer.rng import stream
 
 from oracles import (batch_major_conv2d, naive_bilinear, naive_conv2d, naive_matmul, naive_nearest,
@@ -40,10 +39,19 @@ class TestTensorBasics:
 
         assert m.Tape is lightformer.Tape
 
+    def test_every_export_resolves(self):
+        import lightformer
+
+        missing = [name for name in lightformer.__all__ if not hasattr(lightformer, name)]
+        assert missing == []
+        namespace = {}
+        exec("from lightformer import *", namespace)
+        assert set(lightformer.__all__) <= set(namespace)
+
     def test_item_requires_single_element(self):
-        assert tensor([[2.5]]).item() == 2.5
+        assert Tensor([[2.5]], dtype=np.float32).item() == 2.5
         with pytest.raises(ValueError):
-            tensor([1.0, 2.0]).item()
+            Tensor([1.0, 2.0], dtype=np.float32).item()
 
     def test_contiguous_storage(self):
         base = np.arange(12, dtype=np.float32).reshape(3, 4)
@@ -691,17 +699,17 @@ class TestShapeOps:
 
 class TestElementwise:
     def test_clamp_min(self):
-        x = tensor([-1.0, 0.05, 2.0])
+        x = Tensor([-1.0, 0.05, 2.0], dtype=np.float32)
         np.testing.assert_allclose(ops.clamp_min(x, 0.1).data, [0.1, 0.1, 2.0])
 
     def test_relu_and_sigmoid_values(self):
-        x = tensor([-2.0, 0.0, 3.0])
+        x = Tensor([-2.0, 0.0, 3.0], dtype=np.float32)
         np.testing.assert_allclose(ops.relu(x).data, [0.0, 0.0, 3.0])
         np.testing.assert_allclose(ops.sigmoid(x).data,
                                    1.0 / (1.0 + np.exp([2.0, 0.0, -3.0])), rtol=1e-6)
 
     def test_gelu_fixed_points(self):
-        x = tensor([0.0, 100.0, -100.0])
+        x = Tensor([0.0, 100.0, -100.0], dtype=np.float32)
         out = ops.gelu(x).data
         assert out[0] == 0.0
         np.testing.assert_allclose(out[1], 100.0, rtol=1e-6)
@@ -854,7 +862,7 @@ class TestNorm2d:
         gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
         g = rng.standard_normal(x.shape)
         stats = (rng.standard_normal(c), np.abs(rng.standard_normal(c)) + 0.5) if mode == "given" else None
-        groups = 3 if mode == "group" else None
+        groups = 1 if mode == "group" else None  # one group of all three channels
         ref = naive_norm2d(x, gamma, beta, 1e-5, g, groups=groups, stats=stats)
         xt, gt, bt = (Tensor(a, dtype=dtype, requires_grad=True) for a in (x, gamma, beta))
         given = None if stats is None else tuple(s.astype(dtype) for s in stats)
@@ -932,7 +940,7 @@ class TestNorm2d:
                 np.testing.assert_allclose(a, r, rtol=0, atol=bound * max(1.0, np.abs(r).max()),
                                            err_msg=f"{name} {mode} relu={relu}")
 
-    @pytest.mark.parametrize("mode", ["batch", "given"])
+    @pytest.mark.parametrize("mode", ["batch", "given", "group"])
     def test_fused_relu_finite_differences(self, mode):
         """The fused node's adjoints of x, gamma and beta by central
         differences, at a point where every pre-activation lies at least 1e-3
@@ -942,9 +950,11 @@ class TestNorm2d:
         gamma, beta = (Tensor(rng.standard_normal(3), dtype=np.float64, requires_grad=True)
                        for _ in range(2))
         stats = (rng.standard_normal(3), np.abs(rng.standard_normal(3)) + 0.5) if mode == "given" else None
-        pre = ops.norm2d(x, gamma, beta, 1e-5, stats=stats)[0].data
+        groups = 1 if mode == "group" else None  # one group of all three channels
+        pre = ops.norm2d(x, gamma, beta, 1e-5, groups=groups, stats=stats)[0].data
         assert np.abs(pre).min() >= 1e-3 and (pre < 0).any() and (pre > 0).any()
-        result = check_gradients(lambda: ops.norm2d(x, gamma, beta, 1e-5, stats=stats, relu=True)[0],
+        result = check_gradients(lambda: ops.norm2d(x, gamma, beta, 1e-5, groups=groups, stats=stats,
+                                                     relu=True)[0],
                                  [x, gamma, beta], tol=PRIMITIVE_TOL, name=f"norm2d.relu.{mode}")
         assert result.ok, str(result)
 

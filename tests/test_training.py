@@ -500,17 +500,6 @@ class TestConfusionMatrix:
             parts.update(p, t)
         np.testing.assert_array_equal(whole.counts, parts.counts)
 
-    def test_merge_matches_joint_update(self):
-        rng = stream(1, "cm")
-        a, b = tr.ConfusionMatrix(3), tr.ConfusionMatrix(3)
-        pa, ta = rng.integers(0, 3, (40,)), rng.integers(0, 3, (40,))
-        pb, tb = rng.integers(0, 3, (60,)), rng.integers(0, 3, (60,))
-        a.update(pa, ta)
-        b.update(pb, tb)
-        joint = tr.ConfusionMatrix(3)
-        joint.update(np.concatenate([pa, pb]), np.concatenate([ta, tb]))
-        np.testing.assert_array_equal(a.merge(b).counts, joint.counts)
-
     def test_rows_are_truth(self):
         cm = tr.ConfusionMatrix(3)
         cm.update(np.array([2]), np.array([1]))
