@@ -40,13 +40,9 @@ class TestTensorBasics:
         assert m.Tape is lightformer.Tape
 
     def test_every_export_resolves(self):
-        import lightformer
-
-        missing = [name for name in lightformer.__all__ if not hasattr(lightformer, name)]
-        assert missing == []
-        namespace = {}
-        exec("from lightformer import *", namespace)
-        assert set(lightformer.__all__) <= set(namespace)
+        # A star import raises AttributeError for any name in __all__ that
+        # does not resolve.
+        exec("from lightformer import *", {})
 
     def test_item_requires_single_element(self):
         assert Tensor([[2.5]], dtype=np.float32).item() == 2.5
@@ -862,7 +858,7 @@ class TestNorm2d:
         gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
         g = rng.standard_normal(x.shape)
         stats = (rng.standard_normal(c), np.abs(rng.standard_normal(c)) + 0.5) if mode == "given" else None
-        groups = 1 if mode == "group" else None  # one group of all three channels
+        groups = 3 if mode == "group" else None
         ref = naive_norm2d(x, gamma, beta, 1e-5, g, groups=groups, stats=stats)
         xt, gt, bt = (Tensor(a, dtype=dtype, requires_grad=True) for a in (x, gamma, beta))
         given = None if stats is None else tuple(s.astype(dtype) for s in stats)
