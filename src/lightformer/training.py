@@ -28,7 +28,7 @@ class DivergenceError(RuntimeError):
 def _prep_targets(logits: Tensor, labels):
     """One-hot targets, the not-ignored mask and its count; validates label range.
 
-    Returns ``(onehot, mask, count)``: two constant tensors of the logits'
+    Returns ``(onehot, mask, count)``: two constant arrays of the logits'
     shape and dtype (the mask with one channel) and the number of kept
     pixels. Ignored pixels get class 0 in the one-hot; the mask zeroes them.
     """
@@ -49,39 +49,74 @@ def _prep_targets(logits: Tensor, labels):
     safe = np.where(keep, labels, 0)
     onehot = (safe[:, None] == np.arange(k).reshape(1, k, 1, 1)).astype(logits.dtype)
     mask = keep[:, None, :, :].astype(logits.dtype)
-    return Tensor(onehot), Tensor(mask), count
+    return onehot, mask, count
 
 
-def _true_class_prob(logits: Tensor, onehot: Tensor) -> Tensor:
-    probs = ops.softmax(logits, axis=1)
-    return ops.sum_(ops.mul(probs, onehot), axes=(1,), keepdims=True)
+def _loss_node(logits: Tensor, onehot, mask, count: int, ce: bool, dice: bool):
+    """CE and/or Dice of one logits map as one tape node; returns ``(loss, ce, dice)``.
 
+    The forward runs the ufuncs the composed ops ran (softmax, the true-class
+    probability p_t, clamp, log, masked sums and their final scales) in the
+    logits' dtype, so each term has their bytes; ``loss`` is the sum of the
+    terms asked for, ``ce`` and ``dice`` are their values (None when not
+    asked for). The adjoint is the closed form g·dL/dp_t·p_t·(onehot − p)
+    over the kept pixels, with p_t·dL/dp_t = −[p_t ≥ 1e-12]/count for CE
+    (the clamp's zero-gradient region) and −2c·p_t/((p_t + c)²·count) for
+    Dice, c = 1 + DICE_EPS.
+    """
+    x = logits.data
+    dtype = x.dtype
+    p = np.subtract(x, np.maximum.reduce(x, axis=1, keepdims=True))
+    np.exp(p, out=p)
+    np.divide(p, np.add.reduce(p, axis=1, keepdims=True), out=p)
+    p_t = np.add.reduce(p * onehot, axis=(1,), keepdims=True)
+    floor = np.asarray(1e-12, dtype=dtype)
+    c = np.asarray(1.0 + DICE_EPS, dtype=dtype)
+    everything = (0, 1, 2, 3)
+    ce_value = dice_value = None
+    if ce:
+        logs = np.log(np.maximum(p_t, floor))
+        ce_value = np.add.reduce(logs * mask, axis=everything) * dtype.type(-1.0 / count)
+    if dice:
+        overlap = p_t / (p_t + c)
+        dice_value = np.add.reduce(overlap * mask, axis=everything) * dtype.type(-2.0 / count) + dtype.type(1.0)
+    value = ce_value + dice_value if ce and dice else ce_value if ce else dice_value
 
-def _ce(p_true: Tensor, mask: Tensor, count: int) -> Tensor:
-    """Mean -log p_true over the kept pixels; the minus sign rides on the final scale."""
-    logs = ops.log(ops.clamp_min(p_true, 1e-12))
-    return ops.mul(ops.sum_(ops.mul(logs, mask)), -1.0 / count)
+    def backward(g):
+        # coef ends as -g·p_t·dL/dp_t, summed over the terms, so that
+        # gx = coef·(p - onehot).
+        coef = (p_t >= floor).astype(dtype) if ce else np.zeros_like(p_t)
+        if dice:
+            d = p_t + c
+            coef += (2 * c) * p_t / (d * d)
+        coef *= mask
+        coef *= g / count
+        gx = p - onehot
+        gx *= coef
+        return (gx,)
 
-
-def _dice(p_true: Tensor, mask: Tensor, count: int) -> Tensor:
-    overlap = ops.div(p_true, ops.add(p_true, 1.0 + DICE_EPS))
-    return ops.add(ops.mul(ops.sum_(ops.mul(overlap, mask)), -2.0 / count), 1.0)
+    return ops._result("loss", (logits,), np.asarray(value), backward), ce_value, dice_value
 
 
 def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
-    """Mean -log p(true class) over non-ignored pixels, clamped at 1e-12."""
+    """Mean -log p(true class) over non-ignored pixels, clamped at 1e-12.
+
+    One tape node, whose adjoint is (p - onehot)/count on the kept pixels
+    whose p(true class) is at least 1e-12, and zero elsewhere.
+    """
     onehot, mask, count = _prep_targets(logits, labels)
-    return _ce(_true_class_prob(logits, onehot), mask, count)
+    return _loss_node(logits, onehot, mask, count, ce=True, dice=False)[0]
 
 
 def dice_loss(logits: Tensor, labels) -> Tensor:
     """1 - (2/N) sum p_true/(p_true + 1 + DICE_EPS); zero iff every p_true is 1.
 
     The class sum collapses to the true-class term because the target is
-    one-hot: off-class terms contribute p*0/(p+0+eps) = 0.
+    one-hot: off-class terms contribute p*0/(p+0+eps) = 0. One tape node,
+    whose adjoint runs through p_true in closed form (see ``_loss_node``).
     """
     onehot, mask, count = _prep_targets(logits, labels)
-    return _dice(_true_class_prob(logits, onehot), mask, count)
+    return _loss_node(logits, onehot, mask, count, ce=False, dice=True)[0]
 
 
 @dataclass
@@ -97,8 +132,11 @@ def total_loss(logits: Tensor, aux_logits, labels, train: bool,
     """CE + Dice, plus ``aux_weight`` times the mean auxiliary CE in training.
 
     The targets are built once and shared by every term, so each aux logits
-    map must have the main logits' shape and dtype. Each term, with its own
-    true-class probability, has the bytes of its public loss function.
+    map must have the main logits' shape and dtype. The main logits' CE +
+    Dice is one tape node with one softmax, each aux CE another, and the aux
+    mean and weight are rank-0 ``add`` and ``mul`` nodes. Every term has the
+    bytes of its public loss function. ``ce`` and ``dice`` are values off
+    the tape; ``total`` and ``aux`` carry the gradients.
     """
     onehot, mask, count = _prep_targets(logits, labels)
     if train:
@@ -110,18 +148,16 @@ def total_loss(logits: Tensor, aux_logits, labels, train: bool,
                                  f"are {logits.dtype.name} {logits.shape}")
     elif aux_logits:
         raise ValueError("eval mode received auxiliary logits; they are train-only")
-    ce = _ce(_true_class_prob(logits, onehot), mask, count)
-    dice = _dice(_true_class_prob(logits, onehot), mask, count)
-    total = ops.add(ce, dice)
+    total, ce, dice = _loss_node(logits, onehot, mask, count, ce=True, dice=True)
     aux = None
     if train:
-        terms = [_ce(_true_class_prob(a, onehot), mask, count) for a in aux_logits]
+        terms = [_loss_node(a, onehot, mask, count, ce=True, dice=False)[0] for a in aux_logits]
         acc = terms[0]
         for t in terms[1:]:
             acc = ops.add(acc, t)
         aux = ops.mul(acc, 1.0 / len(terms))
         total = ops.add(total, ops.mul(aux, aux_weight))
-    return LossBundle(total=total, ce=ce, dice=dice, aux=aux)
+    return LossBundle(total=total, ce=Tensor(ce), dice=Tensor(dice), aux=aux)
 
 
 class AdamW:

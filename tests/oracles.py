@@ -1,11 +1,17 @@
 """Naive loop-based references for the tensor ops.
 
 Everything here is written as plainly as possible (explicit loops, one
-pixel at a time) and imports only numpy, so these stay independent of the
-vectorized implementations they verify.
+pixel at a time) and uses only numpy, so these stay independent of the
+vectorized implementations they verify. The one exception is the composed
+loss at the end, built from the package's elementary tape ops, so that its
+adjoints come from theirs and not from the fused loss node it checks.
 """
 
 import numpy as np
+
+from lightformer import ops
+from lightformer.tensor import Tensor
+from lightformer.training import DICE_EPS
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
@@ -340,3 +346,51 @@ def put_along_axis_onehot(labels, k, dtype, ignore_label=255):
     onehot = np.zeros((b, k, h, w), dtype=dtype)
     np.put_along_axis(onehot, safe[:, None, :, :], 1.0, axis=1)
     return onehot
+
+
+def composed_true_class_prob(logits, onehot):
+    """p(true class) of (B, K, H, W) logits Tensor as a (B, 1, H, W) Tensor,
+    from the ops ``softmax``, ``mul`` and ``sum_``."""
+    probs = ops.softmax(logits, axis=1)
+    return ops.sum_(ops.mul(probs, onehot), axes=(1,), keepdims=True)
+
+
+def composed_ce(p_true, mask, count):
+    """Mean -log p_true over the kept pixels, clamped at 1e-12; the minus
+    sign rides on the final scale."""
+    logs = ops.log(ops.clamp_min(p_true, 1e-12))
+    return ops.mul(ops.sum_(ops.mul(logs, mask)), -1.0 / count)
+
+
+def composed_dice(p_true, mask, count):
+    """1 - (2/count) sum p_true/(p_true + 1 + DICE_EPS) over the kept pixels."""
+    overlap = ops.div(p_true, ops.add(p_true, 1.0 + DICE_EPS))
+    return ops.add(ops.mul(ops.sum_(ops.mul(overlap, mask)), -2.0 / count), 1.0)
+
+
+def composed_targets(logits, labels, ignore_label=255):
+    """``(onehot, mask, count)`` for the composed loss: constant Tensors of the
+    logits' dtype and the number of kept pixels."""
+    labels = np.asarray(labels)
+    keep = labels != ignore_label
+    onehot = put_along_axis_onehot(labels, logits.shape[1], logits.dtype, ignore_label)
+    return Tensor(onehot), Tensor(keep[:, None].astype(logits.dtype)), int(keep.sum())
+
+
+def composed_total_loss(logits, aux_logits, labels, aux_weight=0.4):
+    """The training loss as ``training.total_loss`` composed it from elementary
+    tape ops before its terms became one node per logits map: returns the
+    Tensors ``(total, ce, dice, aux)``, aux being None without aux logits."""
+    onehot, mask, count = composed_targets(logits, labels)
+    ce = composed_ce(composed_true_class_prob(logits, onehot), mask, count)
+    dice = composed_dice(composed_true_class_prob(logits, onehot), mask, count)
+    total = ops.add(ce, dice)
+    aux = None
+    if aux_logits:
+        terms = [composed_ce(composed_true_class_prob(a, onehot), mask, count) for a in aux_logits]
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = ops.add(acc, t)
+        aux = ops.mul(acc, 1.0 / len(terms))
+        total = ops.add(total, ops.mul(aux, aux_weight))
+    return total, ce, dice, aux

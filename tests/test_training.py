@@ -13,7 +13,8 @@ from lightformer import training as tr
 from lightformer.rng import stream
 from lightformer.tensor import ShapeError, Tape, Tensor
 
-from oracles import adamw_step, put_along_axis_onehot
+from oracles import (adamw_step, composed_ce, composed_dice, composed_targets, composed_total_loss,
+                     composed_true_class_prob, put_along_axis_onehot)
 
 K = 4
 
@@ -25,6 +26,13 @@ def _logits(shape, seed=0, scale=1.0):
 
 def _labels(shape, seed=1, classes=K):
     return stream(seed, "lab").integers(0, classes, size=shape)
+
+
+def _adjoint_tol(ref):
+    """How far a fused loss adjoint may sit from the composed one: 64 float32
+    epsilons, or 1e-12 in float64, of the reference's largest magnitude."""
+    unit = 64 * np.finfo(np.float32).eps if ref.dtype == np.float32 else 1e-12
+    return unit * np.abs(ref).max()
 
 
 def _perfect_logits(labels, classes=K, margin=40.0):
@@ -174,8 +182,11 @@ class TestTotalLoss:
         ref = tape.backward(total)
         for got, want in ((bundle.ce, ce), (bundle.dice, dice), (bundle.aux, aux_mean), (bundle.total, total)):
             assert got.data.tobytes() == want.data.tobytes()
-        for t in [logits] + aux:
+        for t in aux:
             assert grads[t].tobytes() == ref[t].tobytes()
+        # The main map's CE and Dice share one node, which adds their
+        # coefficients before the product with (p - onehot): only rounding moves.
+        assert np.abs(grads[logits] - ref[logits]).max() <= _adjoint_tol(ref[logits])
 
     @pytest.mark.parametrize("aux_shape", [(1, K, 8, 6), (1, K + 1, 8, 8)])
     def test_aux_shape_mismatch_names_the_aux(self, aux_shape):
@@ -194,6 +205,95 @@ class TestTotalLoss:
             tr.total_loss(logits, aux, labels, train=True)
 
 
+def _loss_case(dtype, b, k, n_aux, seed=50):
+    """Logits, ``n_aux`` aux logits and labels with ignored pixels, at 5x6."""
+    rng = stream(seed, "fused", dtype.__name__, str(b), str(k), str(n_aux))
+    labels = rng.integers(0, k, size=(b, 5, 6))
+    labels[0, 0, :2] = tr.IGNORE_LABEL
+    maps = [Tensor((rng.standard_normal((b, k, 5, 6)) * 2.0).astype(dtype), requires_grad=True)
+            for _ in range(1 + n_aux)]
+    return maps[0], maps[1:], labels
+
+
+class TestFusedLoss:
+    """Each logits map's loss is one tape node; the composed ops in
+    ``oracles`` are its reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b,k,n_aux", [(1, 2, 1), (1, 3, 3), (2, 3, 1), (2, 2, 3), (1, 3, 0)])
+    def test_total_loss_matches_composed_oracle(self, dtype, b, k, n_aux):
+        logits, aux, labels = _loss_case(dtype, b, k, n_aux)
+        with Tape() as tape:
+            bundle = tr.total_loss(logits, aux, labels, train=bool(aux))
+        grads = tape.backward(bundle.total)
+        with Tape() as tape:
+            ref = composed_total_loss(logits, aux, labels)
+        ref_grads = tape.backward(ref[0])
+        assert (bundle.aux is None) == (ref[3] is None)
+        for got, want in zip((bundle.total, bundle.ce, bundle.dice, bundle.aux), ref):
+            if want is not None:
+                assert got.dtype == want.dtype == dtype
+                assert got.data.tobytes() == want.data.tobytes()
+        for t in [logits] + aux:
+            assert grads[t].dtype == dtype
+            assert np.abs(grads[t] - ref_grads[t]).max() <= _adjoint_tol(ref_grads[t])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("term", ["ce", "dice"])
+    def test_public_terms_match_composed_oracle(self, dtype, k, term):
+        logits, _, labels = _loss_case(dtype, 2, k, 0)
+        fused, composed = {"ce": (tr.cross_entropy_loss, composed_ce),
+                           "dice": (tr.dice_loss, composed_dice)}[term]
+        with Tape() as tape:
+            out = fused(logits, labels)
+        assert [n.op for n in tape.nodes] == ["loss"]
+        g = tape.backward(out)[logits]
+        with Tape() as tape:
+            onehot, mask, count = composed_targets(logits, labels)
+            ref = composed(composed_true_class_prob(logits, onehot), mask, count)
+        g_ref = tape.backward(ref)[logits]
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert np.abs(g - g_ref).max() <= _adjoint_tol(g_ref)
+        assert not g[0, :, 0, :2].any()  # ignored pixels
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clamp_region_stops_ce_but_not_dice(self, dtype):
+        # At pixel (0, 0) the true class sits 40 below the others, so its
+        # probability, about 2e-18, is under the CE clamp of 1e-12.
+        labels = np.array([[[0, 1], [2, 0]]])
+        x = np.zeros((1, 3, 2, 2))
+        x[0, 0, 0, 0] = -40.0
+        x[0, :, 1, 1] = (2.0, -1.0, 0.5)
+        logits = Tensor(x.astype(dtype), requires_grad=True)
+        for fused, composed, flows in ((tr.cross_entropy_loss, composed_ce, False),
+                                       (tr.dice_loss, composed_dice, True)):
+            with Tape() as tape:
+                g = tape.backward(fused(logits, labels))[logits]
+            with Tape() as tape:
+                onehot, mask, count = composed_targets(logits, labels)
+                g_ref = tape.backward(composed(composed_true_class_prob(logits, onehot), mask, count))[logits]
+            assert bool(g[0, :, 0, 0].any()) == flows
+            assert g[0, :, 1, 1].all()
+            assert np.abs(g - g_ref).max() <= _adjoint_tol(g_ref)
+
+    def test_records_one_node_per_logits_map(self):
+        logits, aux, labels = _loss_case(np.float32, 2, 3, 3)
+        with Tape() as tape:
+            tr.total_loss(logits, aux, labels, train=True)
+        nodes = tape.nodes
+        assert [n.op for n in nodes] == ["loss"] * 4 + ["add", "add", "mul", "mul", "add"]
+        assert all(n.inputs == (t,) for n, t in zip(nodes, [logits] + aux))
+        assert all(i.ndim == 0 for n in nodes[4:] for i in n.inputs)
+        assert all(n.output.ndim == 0 for n in nodes)
+
+    @pytest.mark.parametrize("where", ["main", "aux"])
+    def test_nan_logits_give_non_finite_total(self, where):
+        logits, aux, labels = _loss_case(np.float32, 1, 3, 1)
+        (logits if where == "main" else aux[0]).data[0, 1, 2, 3] = np.nan
+        assert not np.isfinite(tr.total_loss(logits, aux, labels, train=True).total.item())
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k", [2, 7])
 @pytest.mark.parametrize("label_dtype", [np.int64, np.uint8])
@@ -203,9 +303,9 @@ def test_prep_targets_onehot_is_put_along_axis_bitwise(dtype, k, label_dtype):
     labels[2, 4, :] = 255
     onehot, mask, count = tr._prep_targets(Tensor(np.zeros((3, k, 5, 6)), dtype=dtype), labels)
     ref = put_along_axis_onehot(labels, k, dtype)
-    assert onehot.data.dtype == ref.dtype and onehot.data.shape == ref.shape
-    assert onehot.data.tobytes() == ref.tobytes()
-    assert mask.data.tobytes() == (labels != 255)[:, None].astype(dtype).tobytes()
+    assert onehot.dtype == ref.dtype and onehot.shape == ref.shape
+    assert onehot.tobytes() == ref.tobytes()
+    assert mask.tobytes() == (labels != 255)[:, None].astype(dtype).tobytes()
     assert count == int((labels != 255).sum())
 
 
@@ -430,8 +530,8 @@ def test_train_step_memory():
     the step ends (about 88 MiB). Each of the 36 norm layers records one node
     that keeps no normalized copy of its input, the 24 batch norms that a
     ReLU follows inside a ``ConvNormAct`` take that ReLU into their node, and
-    each CE term folds its sign into its final scale, so the tape holds 327
-    nodes."""
+    the loss records one node per logits map plus five rank-0 nodes that
+    combine them, so the tape holds 289 nodes."""
     from lightformer import config, network, synthetic
 
     cfg = config.load()
@@ -457,7 +557,7 @@ def test_train_step_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nodes == 327, f"train step recorded {nodes} tape nodes"
+    assert nodes == 289, f"train step recorded {nodes} tape nodes"
     assert peak < 42 * 2**20, f"train step peak {peak / 2**20:.1f} MiB"
 
 
