@@ -650,7 +650,9 @@ class SISM:
     zero-initialized pointwise conv squashed by a sigmoid yields the spatial
     attention map; the output adds the detail and attention paths to the
     input through raw scalar multipliers that start at zero, so an untrained
-    module is exactly the identity.
+    module is exactly the identity. The context branch runs in
+    ``_attention``, which returns only the map, so an untaped forward frees
+    the context maps before the blend.
     """
 
     def __init__(self, store: ParamStore, prefix: str, cfg: BlockConfig):
@@ -676,6 +678,17 @@ class SISM:
         self.gates = GateWeights(store, f"{prefix}.gates")
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
+        attn = self._attention(x)
+        maps = active_capture()
+        if maps is not None:
+            maps[f"{self.prefix}.attn"] = attn.data.copy()
+        detail = self.dw_detail.forward(x)
+        w_detail, w_attn = self.gates.raw()
+        out = ops.add(x, ops.mul(detail, w_detail))
+        return ops.add(out, ops.mul(ops.mul(x, attn), w_attn))
+
+    def _attention(self, x: Tensor) -> Tensor:
+        """The spatial attention map of ``x``, (B, 1, H, W); the context maps die on return."""
         mid = self.pw_mid.forward(self.dw_mid.forward(x))
         long = self.pw_long.forward(self.dw_long.forward(mid))
         mixed = ops.concat([self.mix_mid.forward(mid), self.mix_long.forward(long)], axis=1)
@@ -685,14 +698,7 @@ class SISM:
         g_mid, g_long = ops.split(stage_gate, (1, 1), axis=1)
         mid = ops.mul(mid, g_mid)
         long = ops.mul(long, g_long)
-        attn = ops.sigmoid(self.attn_proj.forward(ops.add(mid, long)))
-        maps = active_capture()
-        if maps is not None:
-            maps[f"{self.prefix}.attn"] = attn.data.copy()
-        detail = self.dw_detail.forward(x)
-        w_detail, w_attn = self.gates.raw()
-        out = ops.add(x, ops.mul(detail, w_detail))
-        return ops.add(out, ops.mul(ops.mul(x, attn), w_attn))
+        return ops.sigmoid(self.attn_proj.forward(ops.add(mid, long)))
 
     def cost(self, rep, hw) -> tuple:
         pixels = hw[0] * hw[1]

@@ -19,17 +19,28 @@ import numpy as np
 from .tensor import _TAPE_STACK, ShapeError, Tensor
 
 
+def _requires_grad(inputs) -> bool:
+    for t in inputs:
+        if t.requires_grad:
+            return True
+    return False
+
+
+def _records(inputs) -> bool:
+    """Whether ``_result`` records an op over ``inputs``: a tape is active and an input requires a gradient."""
+    return bool(_TAPE_STACK) and _requires_grad(inputs)
+
+
 def _result(op, inputs, data, backward):
     """Wrap ``data`` as the op's output; record it on the innermost tape if it needs a gradient."""
     out = Tensor.__new__(Tensor)
     out.data = data if data.flags.c_contiguous else np.ascontiguousarray(data)
-    out.requires_grad = False
-    for t in inputs:
-        if t.requires_grad:
-            out.requires_grad = True
-            if _TAPE_STACK:
-                _TAPE_STACK[-1].record(op, inputs, out, backward)
-            break
+    if _records(inputs):
+        out.requires_grad = True
+        _TAPE_STACK[-1].record(op, inputs, out, backward)
+    else:
+        # With no tape the flag still passes on, so a tape opened later records ops on the output.
+        out.requires_grad = not _TAPE_STACK and _requires_grad(inputs)
     return out
 
 
@@ -407,6 +418,13 @@ def _pair(v):
     return int(v), int(v)
 
 
+# Bytes of the column buffer above which an untaped im2col conv is lowered in
+# blocks of output rows. Every conv of the toy recipe fits in one block (the
+# largest, stage 1's stride-2 conv at B = 8 and 64², needs 1.77 MB): over a
+# batch, smaller GEMMs may round otherwise.
+_IM2COL_BYTES = 1 << 21
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padding=0, groups: int = 1) -> Tensor:
     """2-D cross-correlation of [B,Cin,H,W] with [Cout,Cin/groups,kh,kw].
 
@@ -428,9 +446,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     ``np.matmul`` each over B*H'*W' columns, with the weight viewed as
     (groups, Cout/groups, Cin/groups*kh*kw). The output comes out channel-major and is copied once
     to (B, Cout, H', W'), and the adjoint copies g the other way; at B == 1
-    neither copy is made. The adjoint overwrites the buffer with the column
-    adjoint and scatters it back onto the input with one strided add per tap
-    (col2im), in tap order, through a transposed view of the zeroed padded
+    neither copy is made. A conv that will not be recorded (no active tape,
+    or no input that requires a gradient) keeps no column buffer, so when
+    the buffer would pass ``_IM2COL_BYTES`` (2 MiB) the forward walks the
+    output in the fewest blocks of rows of near-equal height: each block
+    copies its windows into one reused buffer of at most that size (one row
+    if a row alone is larger) and runs one GEMM into its rows of the output.
+    A block's GEMM is the one-block product over fewer columns. At B == 1,
+    blocks this large have rounded as the one-block product does (with
+    OpenBLAS, ``infer``'s tiles keep every byte), but a GEMM over a few
+    columns may round otherwise (at most 3.4e-7 of the largest output in
+    float32 over the test geometries), and so may a block over a batch.
+    The adjoint overwrites the buffer with the column adjoint and scatters
+    it back onto the input with one strided add per tap (col2im), in tap
+    order, through a transposed view of the zeroed padded
     gradient. An input that does not require a gradient gets ``None``, and
     neither the column adjoint nor col2im runs. The GEMMs round differently
     from a per-tap accumulation; at B == 1 they are the per-sample GEMMs, and
@@ -478,9 +507,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     s0, s1, s2, s3 = xp.strides
     windows = np.ndarray((Cin, kh, kw, B, Ho, Wo), xp.dtype, buffer=xp,
                          strides=(s1, s2, s3, s0, s2 * sh, s3 * sw))
-    col = windows.copy().reshape(groups, K, B * N)
-    y = np.matmul(wg, col).reshape(Cout, B, Ho, Wo)
-    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+    row = groups * K * B * Wo  # column buffer entries per output row
+    rows = Ho
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    if row * Ho * x.data.itemsize > _IM2COL_BYTES and not _records(inputs):
+        rows = max(1, _IM2COL_BYTES // (row * x.data.itemsize))
+        rows = -(-Ho // -(-Ho // rows))  # as many blocks, of near-equal height
+    buf = np.empty(row * rows, dtype=x.dtype)
+    y = np.empty((B, Cout, Ho, Wo), dtype=x.dtype)
+    for i0 in range(0, Ho, rows):
+        n = min(rows, Ho - i0)
+        col = buf[: row * n].reshape(Cin, kh, kw, B, n, Wo)
+        np.copyto(col, windows[:, :, :, :, i0 : i0 + n])
+        col = col.reshape(groups, K, B * n * Wo)
+        if B == 1:  # channel-major is y's own layout, so the GEMM writes its rows of y
+            np.matmul(wg, col, out=y.reshape(groups, Cout_g, N)[:, :, i0 * Wo : (i0 + n) * Wo])
+        else:
+            y[:, :, i0 : i0 + n] = np.matmul(wg, col).reshape(Cout, B, n, Wo).transpose(1, 0, 2, 3)
 
     def backward(g):
         gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(groups, Cout_g, B * N)

@@ -1,6 +1,8 @@
 """Block-level behavior: shuffle maps, attention invariants, gates, SISM,
 fusion wiring, normalization freezing, and frozen parameter counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,54 @@ class TestSISM:
         attn = maps["s.attn"]
         assert attn.shape == (1, 1, 5, 5)
         assert attn.min() > 0.0 and attn.max() < 1.0
+
+    @staticmethod
+    def _one_body_forward(sism, x):
+        """SISM's forward written out in one body, every op in the module's order; returns (out, attn)."""
+        mid = sism.pw_mid.forward(sism.dw_mid.forward(x))
+        long = sism.pw_long.forward(sism.dw_long.forward(mid))
+        mixed = ops.concat([sism.mix_mid.forward(mid), sism.mix_long.forward(long)], axis=1)
+        stats = ops.concat([ops.reduce_channel(mixed, "mean"), ops.reduce_channel(mixed, "max")], axis=1)
+        g_mid, g_long = ops.split(ops.sigmoid(sism.stat_conv.forward(stats)), (1, 1), axis=1)
+        attn = ops.sigmoid(sism.attn_proj.forward(ops.add(ops.mul(mid, g_mid), ops.mul(long, g_long))))
+        detail = sism.dw_detail.forward(x)
+        w_detail, w_attn = sism.gates.raw()
+        out = ops.add(x, ops.mul(detail, w_detail))
+        return ops.add(out, ops.mul(ops.mul(x, attn), w_attn)), attn
+
+    def test_untaped_forward_memory(self, monkeypatch):
+        """Untaped, the context maps die before the blend and the 7x7 stat
+        conv lowers im2col in blocks, so a (1, 32, 256²) forward peaks below
+        6.5 inputs (8 MiB each); holding both would take over 8. Output and
+        attention map are byte for byte those of the one-body forward with
+        one-block convs."""
+        sism, store = _build(lambda s: bl.SISM(s, "s", bl.BlockConfig(channels=32)), dtype=np.float32)
+        rng = stream(29, "sism.memory")
+        for _, t in store.trainable():
+            t.data = (rng.standard_normal(t.shape) * 0.3).astype(np.float32)
+        x = Tensor(rng.standard_normal((1, 32, 256, 256)), dtype=np.float32)
+        with bl.capture() as maps:
+            tracemalloc.start()
+            try:
+                out = sism.forward(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 6.5 * x.data.nbytes, f"SISM peak {peak / 2**20:.1f} MiB"
+        monkeypatch.setattr(ops, "_IM2COL_BYTES", 1 << 40)
+        ref_out, ref_attn = self._one_body_forward(sism, x)
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        assert maps["s.attn"].tobytes() == ref_attn.data.tobytes()
+
+    def test_taped_node_sequence(self):
+        cfg = bl.BlockConfig(channels=4, window_size=2, heads=2)
+        sism, _ = _build(lambda s: bl.SISM(s, "s", cfg))
+        with Tape() as tape:
+            sism.forward(_rand((2, 4, 6, 6), seed=20))
+        assert [n.op for n in tape.nodes] == [
+            "conv2d", "conv2d", "conv2d", "conv2d", "conv2d", "conv2d", "concat", "mean", "max_reduce",
+            "concat", "conv2d", "sigmoid", "split[0]", "split[1]", "mul", "mul", "add", "conv2d", "sigmoid",
+            "conv2d", "reshape", "reshape", "mul", "add", "mul", "mul", "add"]
 
     def test_untrained_attention_is_half(self):
         """The zero-initialized attention conv gives sigmoid(0) = 0.5 everywhere."""

@@ -1,6 +1,8 @@
 """Network assembly: shapes, aux heads, determinism, gradient reach, and
 checkpoint round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,22 @@ class TestBatchNormFold:
         assert len(norms) == 36 and len(folded) == 30
         assert kept == {f"decoder.lcrm{i}.global.norm{j}" for i in (1, 2, 3) for j in (1, 2)}
         assert folded | kept == norms
+
+    def test_folded_tile_forward_memory(self):
+        """The folded untaped forward that ``infer`` runs on a 512² tile
+        peaks below 20 MiB: untaped dense convs lower im2col in blocks, and
+        SISM frees its context maps before the blend. One column buffer for
+        stage 1's stride-2 conv alone would take 13.5 MiB."""
+        model = self._default_model()
+        fold_batch_norms(model)
+        x = Tensor(stream(25, "test.fold.tile").standard_normal((1, 3, 512, 512)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            model.forward(x, train=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"folded 512² forward peak {peak / 2**20:.1f} MiB"
 
     def test_store_arrays_untouched(self):
         model = self._default_model()

@@ -455,6 +455,117 @@ def test_conv2d_dense_matches_batch_major_oracle(dtype, batch, groups, kernel, s
             np.testing.assert_allclose(got, ref, rtol=0, atol=FOLD_TOL[dtype] * np.abs(ref).max())
 
 
+def _geometry_args(geometry):
+    """``(kernel, stride, padding)`` of a CONV_GEOMETRIES entry, each as a pair."""
+    return geometry["kernel"], ops._pair(geometry.get("stride", 1)), ops._pair(geometry.get("padding", 0))
+
+
+def _is_im2col(geometry):
+    """Whether ``conv2d`` lowers this CONV_GEOMETRIES entry to im2col: neither the depthwise nor the 1x1 path."""
+    (kh, kw), (sh, sw), (ph, pw) = _geometry_args(geometry)
+    channels = geometry.get("groups", 1), geometry["cin"], geometry["cout"]
+    depthwise = channels[0] == channels[1] == channels[2] and sh == sw == 1 and ph < kh and pw < kw
+    return not depthwise and not (kh == kw == sh == sw == 1 and not (ph or pw))
+
+
+IM2COL_GEOMETRIES = [g for g in CONV_GEOMETRIES if _is_im2col(g)]
+
+
+def _counted_gemms(monkeypatch):
+    """Count ``np.matmul`` calls from here on; returns the list the calls append to."""
+    calls, matmul = [], np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("geometry", IM2COL_GEOMETRIES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_conv2d_untaped_blocks_match_one_block(monkeypatch, geometry, dtype, rows, batch, requires_grad):
+    # With no tape nothing keeps the column buffer, so at a budget of `rows`
+    # output rows the forward runs one GEMM per block of at most that many.
+    # One sample's block is, byte for byte, the one-block GEMM of the input
+    # rows it reads. Against the one-block conv of the whole input, GEMMs
+    # over so few columns may round otherwise: the largest differences seen
+    # were 3.4e-7 (float32) and 5.2e-16 (float64) of the largest magnitude.
+    (kh, kw), (sh, sw), (ph, pw) = _geometry_args(geometry)
+    rng = stream(26, "conv.blocks", str(sorted(geometry.items())), np.dtype(dtype).name, str(requires_grad))
+    x, w, b, g = _conv_case(rng, geometry, True, dtype=dtype, requires_grad=requires_grad)
+    x = Tensor(x.data[:batch], requires_grad=requires_grad)
+    whole = ops.conv2d(x, w, b, **g)
+    Cin = x.shape[1]
+    Ho, Wo = whole.shape[2:]
+    monkeypatch.setattr(ops, "_IM2COL_BYTES", rows * Cin * kh * kw * batch * Wo * x.data.itemsize)
+    gemms = _counted_gemms(monkeypatch)
+    blocked = ops.conv2d(x, w, b, **g)
+    monkeypatch.undo()
+    assert Ho >= 2 and len(gemms) == -(-Ho // rows)  # so one row per block is at least two blocks
+    assert blocked.requires_grad == requires_grad and blocked.data.flags.c_contiguous
+    np.testing.assert_allclose(blocked.data, whole.data, rtol=0, atol=FOLD_TOL[dtype] * np.abs(whole.data).max())
+    if batch == 1:
+        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        i0 = 0
+        for cols in gemms:
+            n = cols[-1] // Wo
+            rows_in = np.ascontiguousarray(xp[:, :, i0 * sh : (i0 + n - 1) * sh + kh])
+            ref = batch_major_conv2d(rows_in, w.data, b.data, np.zeros((1, w.shape[0], n, Wo), dtype),
+                                     (sh, sw), 0, g.get("groups", 1))[0]
+            assert blocked.data[:, :, i0 : i0 + n].tobytes() == ref.tobytes()
+            i0 += n
+        assert i0 == Ho
+
+
+@pytest.mark.parametrize("geometry", IM2COL_GEOMETRIES)
+@pytest.mark.parametrize("grad_input", ["x", "w"])
+def test_conv2d_taped_lowering_is_one_block(monkeypatch, geometry, grad_input):
+    # A recorded conv keeps its column buffer for the adjoint, so however
+    # small the budget it runs one copy and one GEMM, records one node, and
+    # its output and adjoints are those of the default budget.
+    rng = stream(27, "conv.taped", str(sorted(geometry.items())), grad_input)
+    x, w, b, g = _conv_case(rng, geometry, True, dtype=np.float64)
+    (x if grad_input == "x" else w).requires_grad = True
+    direction = None
+    results = []
+    for budget in (ops._IM2COL_BYTES, 1):
+        monkeypatch.setattr(ops, "_IM2COL_BYTES", budget)
+        gemms = _counted_gemms(monkeypatch)
+        with Tape() as tape:
+            y = ops.conv2d(x, w, b, **g)
+        assert len(gemms) == 1 and [n.op for n in tape.nodes] == ["conv2d"]
+        monkeypatch.undo()
+        direction = rng.standard_normal(y.shape) if direction is None else direction
+        results.append([y.data] + [a for a in tape.nodes[0].backward(direction) if a is not None])
+    assert [a.tobytes() for a in results[0]] == [a.tobytes() for a in results[1]]
+
+
+def test_conv2d_dense_forward_memory(monkeypatch):
+    # Untaped, a dense conv lowers im2col in blocks of at most _IM2COL_BYTES,
+    # so the peak is the padded input, the output and one block, where one
+    # column buffer would hold 9/4 copies of the input (56.6 MB). This is
+    # stage 1's stride-2 conv on a 1024² tile; its blocks round as the
+    # one-block GEMM does.
+    rng = stream(28, "conv.dense.memory")
+    x = Tensor(rng.standard_normal((1, 24, 512, 512)), dtype=np.float32)
+    w = Tensor(rng.standard_normal((24, 24, 3, 3)), dtype=np.float32)
+    padded_bytes = 24 * 514 * 514 * 4
+    tracemalloc.start()
+    try:
+        y = ops.conv2d(x, w, None, stride=2, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.data.nbytes + padded_bytes + y.data.nbytes + ops._IM2COL_BYTES + 2**18
+    monkeypatch.setattr(ops, "_IM2COL_BYTES", 1 << 30)
+    assert y.data.tobytes() == ops.conv2d(x, w, None, stride=2, padding=1).data.tobytes()
+
+
 def test_conv2d_dense_weight_adjoint_memory():
     # The weight gradient of the folded lowering is one GEMM over B*H'*W'
     # columns. Summing per-sample products over the batch would first build a
