@@ -645,14 +645,16 @@ class CFFM:
 class SISM:
     """Final-stage spatial sharpening.
 
-    Two stacked depthwise+pointwise stages build mid- and long-range context;
-    a two-channel statistics map (channel mean and max) gates each stage; a
-    zero-initialized pointwise conv squashed by a sigmoid yields the spatial
-    attention map; the output adds the detail and attention paths to the
-    input through raw scalar multipliers that start at zero, so an untrained
-    module is exactly the identity. The context branch runs in
-    ``_attention``, which returns only the map, so an untaped forward frees
-    the context maps before the blend.
+    Two stacked depthwise+pointwise stages build mid- and long-range context.
+    A two-channel statistics map gates each stage: the channel mean and max
+    of the two stages' mixed maps (CBAM's spatial statistics), taken by
+    ``ops.channel_stats`` without joining the maps. A zero-initialized
+    pointwise conv squashed by a sigmoid yields the spatial attention map;
+    the output adds the detail and attention paths to the input through raw
+    scalar multipliers that start at zero, so an untrained module is exactly
+    the identity. The context branch runs in ``_attention``, which returns
+    only the map, so an untaped forward frees the context maps before the
+    blend.
     """
 
     def __init__(self, store: ParamStore, prefix: str, cfg: BlockConfig):
@@ -691,9 +693,7 @@ class SISM:
         """The spatial attention map of ``x``, (B, 1, H, W); the context maps die on return."""
         mid = self.pw_mid.forward(self.dw_mid.forward(x))
         long = self.pw_long.forward(self.dw_long.forward(mid))
-        mixed = ops.concat([self.mix_mid.forward(mid), self.mix_long.forward(long)], axis=1)
-        stats = ops.concat([ops.reduce_channel(mixed, "mean"),
-                            ops.reduce_channel(mixed, "max")], axis=1)
+        stats = ops.channel_stats([self.mix_mid.forward(mid), self.mix_long.forward(long)])
         stage_gate = ops.sigmoid(self.stat_conv.forward(stats))
         g_mid, g_long = ops.split(stage_gate, (1, 1), axis=1)
         mid = ops.mul(mid, g_mid)

@@ -174,6 +174,7 @@ def op_cases(seed: int, instance: int):
     case("permute", lambda: ops.permute(a, (0, 2, 3, 1)), [a])
     c1 = _randn(rng, (B, 2, H, W))
     case("concat", lambda: ops.concat([a, c1], axis=1), [a, c1])
+    case("channel_stats", lambda: ops.channel_stats([a, c1]), [a, c1])
     case("split", lambda: ops.concat([p * float(i + 1) for i, p in enumerate(ops.split(a, (1, C - 1), axis=1))], 1), [a])
     case("pad2d", lambda: ops.pad2d(a, (0, 2, 1, 0)), [a])
     case("crop2d", lambda: ops.crop2d(a, 1, 1, H - 1, W - 2), [a])

@@ -35,12 +35,10 @@ def _result(op, inputs, data, backward):
     """Wrap ``data`` as the op's output; record it on the innermost tape if it needs a gradient."""
     out = Tensor.__new__(Tensor)
     out.data = data if data.flags.c_contiguous else np.ascontiguousarray(data)
-    if _records(inputs):
-        out.requires_grad = True
+    # With no tape the flag still passes on, so a tape opened later records ops on the output.
+    out.requires_grad = _requires_grad(inputs)
+    if out.requires_grad and _TAPE_STACK:
         _TAPE_STACK[-1].record(op, inputs, out, backward)
-    else:
-        # With no tape the flag still passes on, so a tape opened later records ops on the output.
-        out.requires_grad = not _TAPE_STACK and _requires_grad(inputs)
     return out
 
 
@@ -226,14 +224,17 @@ def _expand_reduced(g, in_shape, axes, keepdims):
     return np.broadcast_to(g, in_shape)
 
 
-def _mean_keepdims(a, axes, count):
+def _mean_keepdims(a, axes, count, more=()):
     """``a.mean(axis=axes, keepdims=True)`` for ``count`` reduced elements, byte for byte.
 
     These are the two ufunc calls ``ndarray.mean`` makes, including its
     division by an ``intp`` count (so a float32 sum is divided in float64
-    and cast back), without its Python-level dispatch.
+    and cast back), without its Python-level dispatch. The arrays in
+    ``more``, shaped like the sum, are added to it in order before the division.
     """
     s = np.add.reduce(a, axis=axes, keepdims=True)
+    for m in more:
+        s += m
     return np.true_divide(s, np.intp(count), out=s, casting="unsafe")
 
 
@@ -288,6 +289,48 @@ def reduce_channel(x: Tensor, kind: str) -> Tensor:
     if kind == "max":
         return max_reduce(x, axis=1, keepdims=True)
     raise ShapeError(f"reduce_channel: unknown kind {kind!r}")
+
+
+def channel_stats(parts) -> Tensor:
+    """Channel mean and max, (B, 2, H, W), of the [B,C_i,H,W] ``parts`` joined along axis 1, as one node.
+
+    Byte for byte ``concat([mean, max_reduce])`` over ``concat(parts, 1)``
+    without building it: numpy's sum over the first part, then each later
+    channel added in concat order, as numpy sums a channel axis (at H·W = 1
+    it sums pairwise, so there the parts are joined first), divided as in
+    ``_mean_keepdims``. The adjoint gives every part g_mean / ΣC_i, and g_max
+    goes to the first max in concat order, ``max_reduce``'s tie rule: the
+    first part holding the overall max wins.
+    """
+    parts = tuple(parts)
+    if not parts:
+        raise ShapeError("channel_stats: needs at least one part")
+    for i, p in enumerate(parts):
+        if p.ndim != 4:
+            raise ShapeError(f"channel_stats: part {i} must be rank 4, got {p.shape}")
+        _check_same_dtype("channel_stats", parts[0], p)
+        for d, dim in ((0, "batch"), (2, "height"), (3, "width")):
+            if p.shape[d] != parts[0].shape[d]:
+                raise ShapeError(f"channel_stats: part {i} {dim} {p.shape[d]} != {parts[0].shape[d]} of part 0")
+    xs = [p.data for p in parts]
+    n = sum(x.shape[1] for x in xs)
+    sums = xs if xs[0].shape[2] * xs[0].shape[3] > 1 else [np.concatenate(xs, axis=1)]
+    mean = _mean_keepdims(sums[0], (1,), n, (x[:, c : c + 1] for x in sums[1:] for c in range(x.shape[1])))
+    top = functools.reduce(np.maximum, [np.maximum.reduce(x, axis=1, keepdims=True) for x in xs])
+
+    def backward(g):
+        g_mean = g[:, :1] / n
+        idx = [np.argmax(x, axis=1)[:, None] for x in xs]
+        first = np.argmax(np.stack([np.take_along_axis(x, i, axis=1) for x, i in zip(xs, idx)]), axis=0)
+        grads = []
+        for k, (x, i) in enumerate(zip(xs, idx)):
+            gx = np.zeros_like(x)
+            np.put_along_axis(gx, i, np.where(first == k, g[:, 1:], 0), axis=1)
+            gx += g_mean
+            grads.append(gx)
+        return tuple(grads)
+
+    return _result("channel_stats", parts, np.concatenate([mean, top], axis=1), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,9 @@ class TestPrimitiveGradients:
         names = {n.split(".")[0].split("#")[0] for n, *_ in op_cases(0, 0)}
         expected = {"add", "sub", "mul", "div", "neg", "exp", "log", "sqrt", "relu",
                     "gelu", "sigmoid", "clamp_min", "softmax", "sum", "mean",
-                    "max_reduce", "reduce_channel", "reshape", "permute", "concat",
-                    "split", "pad2d", "crop2d", "matmul", "conv2d", "pool2d",
-                    "upsample_bilinear", "nearest_upsample"}
+                    "max_reduce", "reduce_channel", "channel_stats", "reshape",
+                    "permute", "concat", "split", "pad2d", "crop2d", "matmul", "conv2d",
+                    "pool2d", "upsample_bilinear", "nearest_upsample"}
         assert expected <= names
 
     def test_checker_catches_wrong_adjoint(self, monkeypatch):

@@ -873,6 +873,79 @@ class TestElementwise:
         np.testing.assert_array_equal(gx, [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
 
 
+def _composed_channel_stats(parts):
+    joined = ops.concat(parts, axis=1)
+    return ops.concat([ops.mean(joined, axes=1, keepdims=True), ops.max_reduce(joined, axis=1, keepdims=True)], axis=1)
+
+
+def _stats_and_adjoints(fn, arrays, g):
+    parts = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        y = fn(parts)
+        loss = ops.sum_(ops.mul(y, Tensor(g)))
+        nodes = [n.op for n in tape.nodes]
+    grads = tape.backward(loss)
+    return y.data, [grads[p] for p in parts], nodes
+
+
+class TestChannelStats:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 3), (5, 4)])
+    @pytest.mark.parametrize("channels", [(3,), (2, 3), (4, 1, 2), (9, 7)])
+    @pytest.mark.parametrize("values", ["normal", "ties", "signed_zeros", "nan"])
+    def test_matches_composed_bytes(self, dtype, batch, hw, channels, values):
+        """Forward and adjoints equal concat -> mean/max_reduce -> concat byte for byte.
+
+        Rounded values tie inside a part and across the boundary between
+        parts; signed zeros tie with each other; a NaN in a later part wins
+        the max as ``argmax`` has it."""
+        rng = stream(26, "channel_stats", np.dtype(dtype).name, str(batch), str(hw), str(channels), values)
+        arrays = [(rng.standard_normal((batch, c, *hw)) * 10.0 ** rng.uniform(-3, 3, (batch, c, *hw))).astype(dtype)
+                  for c in channels]
+        g = rng.standard_normal((batch, 2, *hw)).astype(dtype)
+        if values in ("ties", "signed_zeros"):
+            arrays = [np.clip(np.round(a), -2, 2) for a in arrays]
+        if values == "signed_zeros":
+            arrays = [np.where(a > 0, dtype(-0.0), a * 0) for a in arrays]
+            g[...] = -0.0  # -0 only where the max term and the mean term are both -0
+        if values == "nan":
+            arrays[-1][:, -1, 0, 0] = np.nan
+        y_ref, g_ref, _ = _stats_and_adjoints(_composed_channel_stats, arrays, g)
+        y, grads, nodes = _stats_and_adjoints(ops.channel_stats, arrays, g)
+        assert nodes == ["channel_stats", "mul", "sum"]
+        assert y.dtype == dtype and y.shape == (batch, 2, *hw)
+        assert y.tobytes() == y_ref.tobytes()
+        for gx, gx_ref in zip(grads, g_ref, strict=True):
+            assert gx.dtype == dtype and gx.tobytes() == gx_ref.tobytes()
+
+    def test_tie_rule_first_part_holding_the_max(self):
+        # Pixel 0: 5 ties inside part 0 and across into part 1, so part 0's
+        # first 5 takes g_max. Pixel 1: part 1 alone holds the max 4, twice.
+        a = np.array([[[[3.0, 1.0]], [[5.0, 2.0]], [[5.0, 0.0]]]])
+        b = np.array([[[[5.0, 4.0]], [[1.0, 4.0]]]])
+        g = np.array([[[[10.0, 20.0]], [[2.0, 3.0]]]])
+        y, (ga, gb), _ = _stats_and_adjoints(ops.channel_stats, [a, b], g)
+        np.testing.assert_array_equal(y, [[[[19.0 / 5, 11.0 / 5]], [[5.0, 4.0]]]])
+        np.testing.assert_array_equal(ga[0, :, 0], [[2.0, 4.0], [4.0, 4.0], [2.0, 4.0]])
+        np.testing.assert_array_equal(gb[0, :, 0], [[2.0, 7.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("other, needle", [
+        (np.zeros((2, 3, 4)), "part 1 must be rank 4"),
+        (np.zeros((2, 3, 4, 5), dtype=np.float32), "dtype mismatch float64 vs float32"),
+        (np.zeros((1, 3, 4, 5)), "part 1 batch 1 != 2 of part 0"),
+        (np.zeros((2, 3, 3, 5)), "part 1 height 3 != 4 of part 0"),
+        (np.zeros((2, 3, 4, 6)), "part 1 width 6 != 5 of part 0"),
+    ])
+    def test_shape_errors(self, other, needle):
+        with pytest.raises(ShapeError, match=f"channel_stats: {needle}"):
+            ops.channel_stats([Tensor(np.zeros((2, 2, 4, 5))), Tensor(other)])
+
+    def test_needs_a_part(self):
+        with pytest.raises(ShapeError, match="channel_stats: needs at least one part"):
+            ops.channel_stats([])
+
+
 # (in_hw, out_hw): the decoder's 2x CFFM, 4x head and 32x aux-head resizes,
 # then an uneven ratio, a size-1 axis and an identity.
 RESIZE_GEOMETRIES = [

@@ -531,7 +531,8 @@ def test_train_step_memory():
     that keeps no normalized copy of its input, the 24 batch norms that a
     ReLU follows inside a ``ConvNormAct`` take that ReLU into their node, and
     the loss records one node per logits map plus five rank-0 nodes that
-    combine them, so the tape holds 289 nodes."""
+    combine them, and SISM's channel mean and max are one node, so the tape
+    holds 286 nodes."""
     from lightformer import config, network, synthetic
 
     cfg = config.load()
@@ -557,7 +558,7 @@ def test_train_step_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nodes == 289, f"train step recorded {nodes} tape nodes"
+    assert nodes == 286, f"train step recorded {nodes} tape nodes"
     assert peak < 42 * 2**20, f"train step peak {peak / 2**20:.1f} MiB"
 
 
