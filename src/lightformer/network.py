@@ -109,29 +109,34 @@ class Decoder:
                         for i in range(3)]
 
     def forward(self, feats, out_hw, train: bool = False):
+        """Logits at ``out_hw`` and, when training with aux heads, the aux logits.
+
+        ``feats`` is the list of the four encoder maps, shallowest first.
+        Once their stage shapes are checked, the call empties it: each map
+        is popped as its consumer runs, so an untaped forward frees it then,
+        whoever else holds the list. The refinement outputs that feed the
+        aux heads are kept only when the aux logits are produced.
+        """
         cfg = self.cfg
         if len(feats) != 4:
             raise ShapeError(f"decoder expects 4 feature maps, got {len(feats)}")
-        for i, (f, c) in enumerate(zip(feats, cfg.encoder_channels)):
-            if f.ndim != 4 or f.shape[1] != c:
-                raise ShapeError(f"encoder stage {i + 1}: expected {c} channels, got {f.shape}")
-        f1, f2, f3, f4 = feats
+        for i, c in enumerate(cfg.encoder_channels):  # no loop variable may keep a map alive
+            if feats[i].ndim != 4 or feats[i].shape[1] != c:
+                raise ShapeError(f"encoder stage {i + 1}: expected {c} channels, got {feats[i].shape}")
+        taps = [] if train and self.aux else None
 
-        z = self.proj.forward(f4, train)
-        z = self.lcrm1.forward(z, train)
-        taps = [z]
-        z = self.cffm1.forward(z, f3, train)
-        z = self.lcrm2.forward(z, train)
-        taps.append(z)
-        z = self.cffm2.forward(z, f2, train)
-        z = self.lcrm3.forward(z, train)
-        taps.append(z)
-        z = self.cffm3.forward(z, f1, train)
+        z = self.proj.forward(feats.pop(), train)
+        for lcrm, cffm in ((self.lcrm1, self.cffm1), (self.lcrm2, self.cffm2),
+                           (self.lcrm3, self.cffm3)):
+            z = lcrm.forward(z, train)
+            if taps is not None:
+                taps.append(z)
+            z = cffm.forward(z, feats.pop(), train)
         z = self.sism.forward(z, train)
 
         logits = ops.upsample_bilinear(self.head.forward(z), out_hw)
         aux_logits = []
-        if train and self.aux:
+        if taps is not None:
             aux_logits = [ops.upsample_bilinear(head.forward(tap), out_hw)
                           for head, tap in zip(self.aux, taps)]
         return logits, aux_logits
@@ -166,14 +171,18 @@ class Model:
         self.decoder = Decoder(store, "decoder", cfg)
 
     def forward(self, image: Tensor, train: bool = False):
+        """``(logits, aux_logits)`` of an image batch (B, 3, H, W); see ``Decoder.forward``.
+
+        The encoder's list of maps goes straight to the decoder, which empties
+        it, so no map outlives its consumer in an untaped forward.
+        """
         if image.ndim != 4 or image.shape[1] != 3:
             raise ShapeError(f"expected an image batch (B, 3, H, W), got {image.shape}")
         h, w = image.shape[2], image.shape[3]
         if h % INPUT_MULTIPLE or w % INPUT_MULTIPLE:
             raise ShapeError(f"input height and width must be divisible by {INPUT_MULTIPLE}, "
                              f"got {h}x{w}")
-        feats = self.encoder.forward(image, train)
-        return self.decoder.forward(feats, (h, w), train)
+        return self.decoder.forward(self.encoder.forward(image, train), (h, w), train)
 
     def cost(self, rep, hw) -> tuple:
         self.encoder.cost(rep, hw)

@@ -495,6 +495,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     output in the fewest blocks of rows of near-equal height: each block
     copies its windows into one reused buffer of at most that size (one row
     if a row alone is larger) and runs one GEMM into its rows of the output.
+    A padded conv pads per block: the input rows a block reads are copied
+    into one reused zeroed slab, (n - 1)*sh + kh rows of W + 2*pw columns
+    for n output rows, and the block's windows are a view of it; no whole
+    padded copy of the input is made. A recorded conv is the same loop with
+    one block.
     A block's GEMM is the one-block product over fewer columns. At B == 1,
     blocks this large have rounded as the one-block product does (with
     OpenBLAS, ``infer``'s tiles keep every byte), but a GEMM over a few
@@ -540,28 +545,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
     wg = weight.data.reshape(groups, Cout_g, K)
     if kh == kw == sh == sw == 1 and not (ph or pw):
         return _conv2d_1x1(x, weight, bias, wg)
-    xp = x.data
-    if ph or pw:
-        xp = np.zeros((B, Cin, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
-        xp[:, :, ph : ph + H, pw : pw + W] = x.data
-    padded_shape = xp.shape  # the adjoint must not keep xp alive
-    # Row (c, u, v) of the column buffer is input channel c seen through tap
-    # (u, v); column (b, i, j) is output pixel (i, j) of sample b.
-    s0, s1, s2, s3 = xp.strides
-    windows = np.ndarray((Cin, kh, kw, B, Ho, Wo), xp.dtype, buffer=xp,
-                         strides=(s1, s2, s3, s0, s2 * sh, s3 * sw))
     row = groups * K * B * Wo  # column buffer entries per output row
     rows = Ho
     inputs = (x, weight) if bias is None else (x, weight, bias)
     if row * Ho * x.data.itemsize > _IM2COL_BYTES and not _records(inputs):
         rows = max(1, _IM2COL_BYTES // (row * x.data.itemsize))
         rows = -(-Ho // -(-Ho // rows))  # as many blocks, of near-equal height
+    # A block of n output rows reads (n - 1)*sh + kh padded input rows. Padded,
+    # they are copied into a zeroed slab that every block reuses.
+    src = x.data
+    if ph or pw:
+        src = np.zeros((B, Cin, (rows - 1) * sh + kh, W + 2 * pw), dtype=x.dtype)
+    s0, s1, s2, s3 = src.strides
     buf = np.empty(row * rows, dtype=x.dtype)
     y = np.empty((B, Cout, Ho, Wo), dtype=x.dtype)
     for i0 in range(0, Ho, rows):
         n = min(rows, Ho - i0)
+        r0 = i0 * sh - ph  # the input row under the block's first window row
+        offset = r0 * s2
+        if src is not x.data:
+            offset, m = 0, (n - 1) * sh + kh
+            lo = min(max(-r0, 0), m)  # slab rows lo .. hi - 1 hold input rows
+            hi = min(max(H - r0, lo), m)
+            src[:, :, lo:hi, pw : pw + W] = x.data[:, :, r0 + lo : r0 + hi]
+            if hi < m and i0:  # an earlier block may have filled this block's bottom padding
+                src[:, :, hi:m] = 0
+        # Row (c, u, v) of the column buffer is input channel c seen through
+        # tap (u, v); column (b, i, j) is output pixel (i0 + i, j) of sample b.
+        windows = np.ndarray((Cin, kh, kw, B, n, Wo), src.dtype, buffer=src, offset=offset,
+                             strides=(s1, s2, s3, s0, s2 * sh, s3 * sw))
         col = buf[: row * n].reshape(Cin, kh, kw, B, n, Wo)
-        np.copyto(col, windows[:, :, :, :, i0 : i0 + n])
+        np.copyto(col, windows)
         col = col.reshape(groups, K, B * n * Wo)
         if B == 1:  # channel-major is y's own layout, so the GEMM writes its rows of y
             np.matmul(wg, col, out=y.reshape(groups, Cout_g, N)[:, :, i0 * Wo : (i0 + n) * Wo])
@@ -577,7 +591,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride=1, padd
             # (this makes the closure single-use, as the tape already is).
             gcol = np.matmul(wg.swapaxes(-1, -2), gt, out=col)
             gcol = gcol.reshape(Cin, kh, kw, B, Ho, Wo)
-            gxp = np.zeros(padded_shape, dtype=x.dtype)
+            gxp = np.zeros((B, Cin, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
             gxt = gxp.transpose(1, 0, 2, 3)
             for u in range(kh):
                 for v in range(kw):
@@ -648,28 +662,36 @@ def _depthwise_band(w, bw):
     return band
 
 
-def _band_chunks(plane, kernel, out_hw):
-    """Yield ``(c0, X)``: X (n, B·Ho·nb, kh·span) is the row-only im2col of channels c0 .. c0 + n − 1 of ``plane``."""
-    B, C = plane.shape[:2]
-    (kh, kw), (Ho, Wo) = kernel, out_hw
-    bw, nb, _ = _band_blocks(Wo, kw)
+def _band_chunks(x, kernel, padding, out_hw):
+    """Yield ``(c0, X)``: X (n, B·Ho·nb, kh·span) is the row-only im2col of channels c0 .. c0 + n − 1 of ``x``.
+
+    Each chunk of channels is zero-padded by ``padding`` (and widened for the
+    blocks) in one plane that every chunk reuses, so no whole padded copy of
+    ``x`` is made.
+    """
+    B, C, H, W = x.shape
+    (kh, kw), (ph, pw), (Ho, Wo) = kernel, padding, out_hw
+    bw, nb, cols = _band_blocks(Wo, kw)
     span = bw - 1 + kw
-    s0, s1, s2, s3 = plane.strides
-    rows = np.ndarray((C, B, Ho, nb, kh, span), plane.dtype, buffer=plane, strides=(s1, s0, s2, bw * s3, s2, s3))
+    n = min(C, max(1, _DW_CHUNK_BYTES // (B * Ho * nb * kh * span * x.itemsize)))
+    plane = np.zeros((n, B, H + 2 * ph, max(W + 2 * pw, cols)), dtype=x.dtype)
+    p0, p1, p2, p3 = plane.strides
+    rows = np.ndarray((n, B, Ho, nb, kh, span), x.dtype, buffer=plane, strides=(p0, p1, p2, bw * p3, p2, p3))
     rows.flags.writeable = False
-    buf = np.empty((min(C, max(1, _DW_CHUNK_BYTES // rows[0].nbytes)), *rows.shape[1:]), dtype=plane.dtype)
-    for c0 in range(0, C, len(buf)):
-        x = buf[: C - c0]
-        np.copyto(x, rows[c0 : c0 + len(buf)])
-        yield c0, x.reshape(len(x), B * Ho * nb, kh * span)
+    buf = np.empty(rows.shape, dtype=x.dtype)
+    for c0 in range(0, C, n):
+        m = min(n, C - c0)
+        plane[:m, :, ph : ph + H, pw : pw + W] = x[:, c0 : c0 + m].transpose(1, 0, 2, 3)
+        np.copyto(buf[:m], rows[:m])
+        yield c0, buf[:m].reshape(m, B * Ho * nb, kh * span)
 
 
-def _banded_conv(plane, w, out):
-    """Fill ``out`` (B, C, Ho, Wo) with the depthwise correlation of ``plane`` and ``w`` (C, kh, kw); return it."""
+def _banded_conv(x, w, padding, out):
+    """Fill ``out`` (B, C, Ho, Wo) with the depthwise correlation of ``x`` zero-padded by ``padding`` and ``w`` (C, kh, kw); return it."""
     B, C, Ho, Wo = out.shape
-    for c0, x in _band_chunks(plane, w.shape[1:], (Ho, Wo)):
-        y = np.matmul(x, _depthwise_band(w[c0 : c0 + len(x)], min(Wo, _DW_BLOCK)))
-        out[:, c0 : c0 + len(x)] = y.reshape(len(x), B, Ho, -1)[..., :Wo].transpose(1, 0, 2, 3)
+    for c0, xc in _band_chunks(x, w.shape[1:], padding, (Ho, Wo)):
+        y = np.matmul(xc, _depthwise_band(w[c0 : c0 + len(xc)], min(Wo, _DW_BLOCK)))
+        out[:, c0 : c0 + len(xc)] = y.reshape(len(xc), B, Ho, -1)[..., :Wo].transpose(1, 0, 2, 3)
     return out
 
 
@@ -679,32 +701,29 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, padding, o
     Along an output row a depthwise conv is a product with a banded
     (Toeplitz) matrix of the channel's kernel rows. The output columns are
     cut into nb blocks of bw = min(W', 32) that share one band T (kh·span,
-    bw), ``T[u·span + j + v, j] = w[u, v]``, span = bw − 1 + kw; the plane
-    is widened with zeros for the last block. Per chunk of channels (about
-    256 KiB of X), ``_band_chunks`` copies the kh padded rows each output
-    block reads into a row-only im2col X (n, B·H'·nb, kh·span), and the
-    forward is one batched ``X @ T`` written straight into the output. The
-    weight adjoint rebuilds X from the kept padded plane and sums M = Xᵀ·g
-    along the band's diagonals. The input adjoint is the forward with the
-    kernel flipped, run over g placed kh − 1 − ph rows and kw − 1 − pw
-    columns into a zeroed plane (H + kh − 1 rows of W + kw − 1 columns,
-    widened for the blocks) that reuses the padded input once gw is done;
-    padding below the kernel keeps that offset non-negative and g inside
-    the plane. The GEMMs round differently from a per-tap accumulation. An
-    input that does not require a gradient gets ``None``.
+    bw), ``T[u·span + j + v, j] = w[u, v]``, span = bw − 1 + kw. Per chunk
+    of channels (about 256 KiB of X), ``_band_chunks`` zero-pads the chunk
+    into one reused plane, widened with zeros for the last block, and copies
+    the kh padded rows each output block reads into a row-only im2col X
+    (n, B·H'·nb, kh·span); the forward is one batched ``X @ T`` written
+    straight into the output. No whole padded plane is built or kept. The
+    weight adjoint rebuilds X chunk by chunk from the input and sums
+    M = Xᵀ·g along the band's diagonals. The input adjoint is the forward
+    with the kernel flipped, run over g zero-padded by kh − 1 − ph rows and
+    kw − 1 − pw columns, which the padding rule keeps non-negative. The
+    GEMMs round differently from a per-tap accumulation. An input that does
+    not require a gradient gets ``None``.
     """
     (ph, pw), (Ho, Wo) = padding, out_hw
     B, C, H, W = x.shape
     kh, kw = weight.shape[2:]
     wt = weight.data[:, 0]
-    bw, nb, cols = _band_blocks(Wo, kw)
-    xp = np.zeros((B, C, H + 2 * ph, max(W + 2 * pw, cols)), dtype=x.dtype)
-    xp[:, :, ph : ph + H, pw : pw + W] = x.data
-    out = _banded_conv(xp, wt, np.empty((B, C, Ho, Wo), dtype=x.dtype))
+    bw, nb, _ = _band_blocks(Wo, kw)
+    out = _banded_conv(x.data, wt, padding, np.empty((B, C, Ho, Wo), dtype=x.dtype))
 
     def backward(g):
         gw = np.empty((C, kh, kw), dtype=x.dtype)
-        for c0, xc in _band_chunks(xp, (kh, kw), (Ho, Wo)):
+        for c0, xc in _band_chunks(x.data, (kh, kw), padding, (Ho, Wo)):
             gb = np.zeros((len(xc), B, Ho, nb * bw), dtype=g.dtype)
             gb[..., :Wo] = g[:, c0 : c0 + len(xc)].transpose(1, 0, 2, 3)
             diag = _band_diagonals(np.matmul(xc.swapaxes(1, 2), gb.reshape(len(xc), -1, bw)), kw)
@@ -713,16 +732,7 @@ def _conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None, padding, o
         del xc, gb, diag  # the last chunk's buffers, before the gather
         gx = None
         if x.requires_grad:
-            Gh = H + kh - 1
-            size = B * C * Gh * _band_blocks(W, kw)[2]
-            # xp is dead now, so the plane may overwrite it (this makes the
-            # closure single-use, as the tape already is).
-            buf = xp.reshape(-1)[:size] if xp.size >= size else np.empty(size, x.dtype)
-            buf.fill(0)
-            plane = buf.reshape(B, C, Gh, -1)
-            top, left = kh - 1 - ph, kw - 1 - pw
-            plane[:, :, top : top + Ho, left : left + Wo] = g
-            gx = _banded_conv(plane, wt[:, ::-1, ::-1], np.empty_like(x.data))
+            gx = _banded_conv(g, wt[:, ::-1, ::-1], (kh - 1 - ph, kw - 1 - pw), np.empty_like(x.data))
         return gx, gw.reshape(weight.shape)
 
     return _conv_result(x, weight, bias, out, backward)

@@ -2,11 +2,13 @@
 checkpoint round-trips."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from lightformer import network as net
+from lightformer import ops
 from lightformer import training as tr
 from lightformer.blocks import BatchNorm2d, BlockConfig, Conv2d, Identity, fold_batch_norms, layers
 from lightformer.config import load as load_config
@@ -64,14 +66,76 @@ class TestShapes:
         feats = [Tensor(np.zeros((1, c, s, s), dtype=np.float32))
                  for c, s in zip((4, 4, 8, 8), (16, 8, 4, 2))]
         feats[1] = Tensor(np.zeros((1, 5, 8, 8), dtype=np.float32))
+        given = list(feats)
         with pytest.raises(ShapeError, match="encoder stage 2: expected 4 channels"):
             model.decoder.forward(feats, (64, 64))
+        assert feats == given  # checked before the decoder takes any map from the list
 
     def test_stub_encoder_stage_geometry(self):
         model = net.build_model(tiny_config(), seed=0)
         feats = model.encoder.forward(_image((1, 3, 64, 64)))
         assert [f.shape for f in feats] == [
             (1, 4, 16, 16), (1, 4, 8, 8), (1, 8, 4, 4), (1, 8, 2, 2)]
+
+
+class TestSpentMaps:
+    def test_untaped_forward_releases_encoder_maps(self, monkeypatch):
+        """Each encoder map dies once its consumer has run: f2-f4 before
+        ``cffm3`` (which reads f1), and all four before ``sism``."""
+        model = net.build_model(tiny_config(), seed=0)
+        refs, seen = [], {}
+        encode = model.encoder.forward
+
+        def encoder_forward(image, train=False):
+            feats = encode(image, train)
+            refs[:] = [weakref.ref(f.data) for f in feats]
+            return feats
+
+        def watch(block, name):
+            forward = block.forward
+
+            def watched(*args, **kwargs):
+                seen[name] = [r() is not None for r in refs]
+                return forward(*args, **kwargs)
+
+            monkeypatch.setattr(block, "forward", watched)
+
+        monkeypatch.setattr(model.encoder, "forward", encoder_forward)
+        watch(model.decoder.cffm3, "cffm3")
+        watch(model.decoder.sism, "sism")
+        model.forward(_image((1, 3, 64, 64)), train=False)
+        assert seen == {"cffm3": [True, False, False, False], "sism": [False, False, False, False]}
+
+    def test_taped_step_matches_a_forward_that_keeps_every_map(self):
+        """Releasing maps changes no byte of a train step: the logits, aux
+        logits and every gradient equal those of the blocks run in the same
+        order with all maps and taps held to the end."""
+        model = net.build_model(tiny_config(), seed=3)
+        x = _image((2, 3, 64, 64), seed=4)
+        labels = stream(5, "test.network.labels").integers(0, 3, size=(2, 64, 64))
+        dec = model.decoder
+
+        def kept(image):
+            f1, f2, f3, f4 = model.encoder.forward(image, True)
+            z = dec.lcrm1.forward(dec.proj.forward(f4, True), True)
+            taps = [z]
+            z = dec.lcrm2.forward(dec.cffm1.forward(z, f3, True), True)
+            taps.append(z)
+            z = dec.lcrm3.forward(dec.cffm2.forward(z, f2, True), True)
+            taps.append(z)
+            z = dec.sism.forward(dec.cffm3.forward(z, f1, True), True)
+            logits = ops.upsample_bilinear(dec.head.forward(z), (64, 64))
+            return logits, [ops.upsample_bilinear(h.forward(t), (64, 64)) for h, t in zip(dec.aux, taps)]
+
+        results = []
+        for forward in (lambda image: model.forward(image, train=True), kept):
+            with Tape() as tape:
+                logits, aux = forward(x)
+                loss = tr.total_loss(logits, aux, labels, train=True).total
+            grads = tape.backward(loss)
+            results.append([logits.data] + [a.data for a in aux]
+                           + [grads[t] for _, t in model.store.trainable()])
+        assert [a.tobytes() for a in results[0]] == [a.tobytes() for a in results[1]]
 
 
 class TestDecoderConfig:
@@ -281,10 +345,16 @@ class TestBatchNormFold:
 
     def test_folded_tile_forward_memory(self):
         """The folded untaped forward that ``infer`` runs on a 512² tile
-        peaks below 16 MiB: untaped dense convs lower im2col in blocks, and
-        SISM takes its channel statistics without joining its two mixed maps
-        and frees its context maps before the blend. One column buffer for
-        stage 1's stride-2 conv alone would take 13.5 MiB."""
+        peaks below 12.5 MiB (12.06 measured; 15.29 while convs padded whole
+        inputs and the decoder held every encoder map to the end): untaped
+        dense convs lower im2col in blocks that pad only the rows they read,
+        depthwise convs pad one chunk of channels at a time, the decoder
+        drops each encoder map once its consumer has run, and SISM takes its
+        channel statistics without joining its two mixed maps and frees its
+        context maps before the blend. The peak is cffm3's gated sum, just
+        above stage 1's first conv, whose 6 MiB output and 6 MiB norm output
+        are live together. One column buffer for stage 1's stride-2 conv
+        alone would take 13.5 MiB."""
         model = self._default_model()
         fold_batch_norms(model)
         x = Tensor(stream(25, "test.fold.tile").standard_normal((1, 3, 512, 512)).astype(np.float32))
@@ -294,7 +364,7 @@ class TestBatchNormFold:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, f"folded 512² forward peak {peak / 2**20:.1f} MiB"
+        assert peak < 12.5 * 2**20, f"folded 512² forward peak {peak / 2**20:.2f} MiB"
 
     def test_store_arrays_untouched(self):
         model = self._default_model()

@@ -545,23 +545,52 @@ def test_conv2d_taped_lowering_is_one_block(monkeypatch, geometry, grad_input):
     assert [a.tobytes() for a in results[0]] == [a.tobytes() for a in results[1]]
 
 
+@pytest.mark.parametrize("padding", [(1, 1), (2, 0), (0, 3)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [3, 7])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("budget", [1, 1 << 30])
+def test_conv2d_block_padding_matches_padded_input(monkeypatch, padding, stride, kernel, batch, budget):
+    # Each block pads only the input rows it reads, in one reused slab. Its
+    # column buffer holds what a block of the whole zero-padded input would,
+    # so the conv is, byte for byte, the unpadded conv of that padded input
+    # under the same blocks. At a budget of 1 every block is one output row,
+    # so the first and last blocks read padding rows, and later blocks reuse
+    # rows an earlier one filled.
+    rng = stream(30, "conv.block.padding", str((padding, stride, kernel, batch)))
+    x = Tensor(rng.standard_normal((batch, 3, 12, 11)), dtype=np.float32)
+    w = Tensor(rng.standard_normal((4, 3, kernel, kernel)), dtype=np.float32)
+    b = Tensor(rng.standard_normal(4), dtype=np.float32)
+    (ph, pw) = padding
+    xp = Tensor(np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))))
+    monkeypatch.setattr(ops, "_IM2COL_BYTES", budget)
+    gemms = _counted_gemms(monkeypatch)
+    y = ops.conv2d(x, w, b, stride=stride, padding=padding)
+    blocks = len(gemms)
+    ref = ops.conv2d(xp, w, b, stride=stride)
+    assert len(gemms) == 2 * blocks and blocks == (y.shape[2] if budget == 1 else 1)
+    assert y.data.tobytes() == ref.data.tobytes()
+
+
 def test_conv2d_dense_forward_memory(monkeypatch):
-    # Untaped, a dense conv lowers im2col in blocks of at most _IM2COL_BYTES,
-    # so the peak is the padded input, the output and one block, where one
-    # column buffer would hold 9/4 copies of the input (56.6 MB). This is
-    # stage 1's stride-2 conv on a 1024² tile; its blocks round as the
-    # one-block GEMM does.
+    # Untaped, a dense conv lowers im2col in blocks of at most _IM2COL_BYTES
+    # and pads only the input rows a block reads, so the peak is the output,
+    # one block and one block's padded slab, where one column buffer would
+    # hold 9/4 copies of the input (56.6 MB) and a whole padded copy of the
+    # input would add 25.4 MB. This is stage 1's stride-2 conv on a 1024²
+    # tile: blocks of 9 output rows, whose slab holds 19 padded input rows.
+    # Its blocks round as the one-block GEMM does.
     rng = stream(28, "conv.dense.memory")
     x = Tensor(rng.standard_normal((1, 24, 512, 512)), dtype=np.float32)
     w = Tensor(rng.standard_normal((24, 24, 3, 3)), dtype=np.float32)
-    padded_bytes = 24 * 514 * 514 * 4
+    slab_bytes = 24 * 19 * 514 * 4
     tracemalloc.start()
     try:
         y = ops.conv2d(x, w, None, stride=2, padding=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < x.data.nbytes + padded_bytes + y.data.nbytes + ops._IM2COL_BYTES + 2**18
+    assert peak < y.data.nbytes + ops._IM2COL_BYTES + slab_bytes + 2**18
     monkeypatch.setattr(ops, "_IM2COL_BYTES", 1 << 30)
     assert y.data.tobytes() == ops.conv2d(x, w, None, stride=2, padding=1).data.tobytes()
 
@@ -610,8 +639,9 @@ def test_conv2d_im2col_memory():
 
 
 def test_conv2d_depthwise_forward_memory():
-    # Untaped, the depthwise path holds the padded input, the output and one
-    # product buffer, where a column buffer would hold kh*kw copies of the input.
+    # Untaped, the depthwise path holds the output and one chunk's padded
+    # plane, row buffer and products, where a column buffer would hold kh*kw
+    # copies of the input.
     x = Tensor(np.ones((1, 16, 128, 128), dtype=np.float32))
     w = Tensor(np.ones((16, 1, 7, 7), dtype=np.float32))
     tracemalloc.start()
@@ -623,16 +653,78 @@ def test_conv2d_depthwise_forward_memory():
     assert peak < 4 * x.data.nbytes
 
 
+@pytest.mark.parametrize("kernel", [3, 7])
+def test_conv2d_depthwise_untaped_memory(kernel):
+    # Untaped, the depthwise path pads one chunk of channels at a time into a
+    # reused plane, so beyond the output it holds one chunk's padded plane,
+    # its row buffer X and at most two chunks' GEMM products (256 KiB each
+    # here, the last one and the next). At 1x32x256² every chunk is one
+    # channel; a whole padded plane would add about 8.5 MiB. The input is
+    # made before tracing starts.
+    x = Tensor(np.ones((1, 32, 256, 256), dtype=np.float32))
+    w = Tensor(np.ones((32, 1, kernel, kernel), dtype=np.float32))
+    p = kernel // 2
+    _, nb, cols = ops._band_blocks(256, kernel)
+    plane_bytes = (256 + 2 * p) * cols * 4
+    row_bytes = 256 * nb * kernel * (ops._DW_BLOCK - 1 + kernel) * 4
+    assert row_bytes > ops._DW_CHUNK_BYTES  # so a chunk is one channel
+    tracemalloc.start()
+    try:
+        y = ops.conv2d(x, w, None, padding=p, groups=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < y.data.nbytes + plane_bytes + row_bytes + 2**20
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,padding", [((3, 3), (1, 1)), ((7, 7), (3, 3)), ((3, 5), (0, 2)), ((1, 3), (0, 1))])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_conv2d_depthwise_chunks_match_one_chunk(monkeypatch, dtype, kernel, padding, channels):
+    # Each chunk of channels is padded on its own, so the forward and both
+    # adjoints are, byte for byte, those of one chunk over all channels. The
+    # budget makes the forward's chunks one channel each, or two with a
+    # ragged last one. Both agree with naive_conv2d and the tap oracles to
+    # DEPTHWISE_TOL.
+    rng = stream(31, "conv.dw.chunks", np.dtype(dtype).name, str((kernel, padding)))
+    C = 5
+    x = Tensor(rng.standard_normal((2, C, 9, 10)), dtype=dtype, requires_grad=True)
+    w = Tensor(rng.standard_normal((C, 1, *kernel)), dtype=dtype, requires_grad=True)
+    b = Tensor(rng.standard_normal(C), dtype=dtype, requires_grad=True)
+    Ho = 9 + 2 * padding[0] - kernel[0] + 1
+    bw, nb, _ = ops._band_blocks(10 + 2 * padding[1] - kernel[1] + 1, kernel[1])
+    row_bytes = 2 * Ho * nb * kernel[0] * (bw - 1 + kernel[1]) * x.data.itemsize  # one channel's X
+    g = None
+    results = []
+    for budget in (1 << 30, channels * row_bytes):
+        monkeypatch.setattr(ops, "_DW_CHUNK_BYTES", budget)
+        gemms = _counted_gemms(monkeypatch)
+        with Tape() as tape:
+            y = ops.conv2d(x, w, b, padding=padding, groups=C)
+        g = rng.standard_normal(y.shape).astype(dtype) if g is None else g
+        gx, gw, gb = tape.nodes[-1].backward(g)
+        monkeypatch.undo()
+        results.append((len(gemms), [y.data, gx, gw, gb]))
+    (one, whole), (several, chunked) = results
+    assert one == 3 and several > one  # a forward, a weight adjoint and an input adjoint GEMM per chunk
+    assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
+    assert_close_to_largest(chunked[0], naive_conv2d(x.data, w.data, b.data, 1, padding, C).astype(dtype), dtype)
+    _, gx_ref, _, _ = tap_conv2d(x.data, w.data, None, g, stride=1, padding=padding, groups=C)
+    assert_close_to_largest(chunked[1], gx_ref, dtype)
+    assert_close_to_largest(chunked[2], tap_depthwise_weight_adjoint(x.data, g, kernel, 1, padding), dtype)
+
+
 def test_conv2d_depthwise_adjoint_memory():
-    # Taped, a depthwise conv holds its padded input for the weight adjoint.
-    # The input adjoint's zero-padded g then reuses that dead buffer, so the
-    # peak is the padded input, the output, the input adjoint and two
-    # channel blocks of about 256 KiB, not another padded plane on top.
+    # Taped, a depthwise conv keeps no padded copy of its input: the weight
+    # adjoint rebuilds each chunk's rows from the input, and the input
+    # adjoint pads g one chunk at a time. So the peak is the output, the
+    # input adjoint, one chunk's row buffer X (266 KiB here) with its padded
+    # plane, and small per-chunk products; a whole padded plane (613 KiB)
+    # would not fit.
     B, C, H, W = 2, 16, 64, 64
     x = Tensor(np.ones((B, C, H, W), dtype=np.float32), requires_grad=True)
     w = Tensor(np.ones((C, 1, 7, 7), dtype=np.float32), requires_grad=True)
     g = np.ones((B, C, H, W), dtype=np.float32)
-    padded_bytes = B * C * ((H + 6) * (W + 6) + 6) * 4
     tracemalloc.start()
     try:
         with Tape() as tape:
@@ -641,7 +733,7 @@ def test_conv2d_depthwise_adjoint_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < padded_bytes + 2 * x.data.nbytes + 2.5 * 2**18
+    assert peak < 2 * x.data.nbytes + 2 * 2**18
 
 
 # Strides 1, 2 and 3, non-square kernels, and padding wider than the kernel.
